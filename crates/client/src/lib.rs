@@ -394,6 +394,12 @@ impl Client {
     /// number of records fed and the last counter snapshot, which
     /// reflects every record because the final snapshots are drained
     /// before returning.
+    ///
+    /// Each store frame is forwarded as one `Chunk` whose columns are
+    /// the frame's verified payload, copied verbatim
+    /// ([`TraceReader::next_raw_frame`]). A frame that fails its CRC or
+    /// its structure check ends the stream with
+    /// [`ClientError::Trace`] before any byte of it is sent.
     pub fn stream<R: Read>(
         &mut self,
         session: u32,
@@ -404,14 +410,23 @@ impl Client {
         let mut in_flight = 0usize;
         let mut fed = 0u64;
         let mut last = None;
-        while let Some(chunk) = reader.next_chunk()? {
+        while let Some((count, columns)) = reader.next_raw_frame()? {
             if in_flight == window {
                 last = Some(self.read_stats()?);
                 in_flight -= 1;
             }
-            self.write_chunk(session, chunk)?;
+            self.frame.clear();
+            protocol::encode_chunk_columns(
+                &mut self.frame,
+                &mut self.scratch,
+                session,
+                None,
+                count,
+                columns,
+            );
+            self.writer.write_all(&self.frame)?;
             in_flight += 1;
-            fed += chunk.len() as u64;
+            fed += count as u64;
         }
         while in_flight > 0 {
             last = Some(self.read_stats()?);

@@ -264,21 +264,23 @@ impl ResilientClient {
         let mut exhausted = false;
 
         while !exhausted || !pending.is_empty() {
-            // Fill the window from the reader, encoding each chunk once
-            // (the buffered frame is also the retransmit unit).
+            // Fill the window from the reader, wrapping each store
+            // frame's verified columns once (the buffered message is
+            // also the retransmit unit).
             while !exhausted && pending.len() < window {
-                match reader.next_chunk()? {
+                match reader.next_raw_frame()? {
                     None => exhausted = true,
-                    Some(chunk) => {
+                    Some((count, columns)) => {
                         let mut frame = Vec::new();
-                        protocol::encode_seq_chunk(
+                        protocol::encode_chunk_columns(
                             &mut frame,
                             &mut scratch,
                             session,
-                            next_seq,
-                            chunk,
+                            Some(next_seq),
+                            count,
+                            columns,
                         );
-                        fed += chunk.len() as u64;
+                        fed += count as u64;
                         let send = self.connect().and_then(|c| c.write_frame_bytes(&frame));
                         pending.push_back(Pending {
                             seq: next_seq,

@@ -1,0 +1,171 @@
+//! Error semantics of the two streaming loops when a stored frame is
+//! damaged where its CRC cannot see: the frame header's record count.
+//!
+//! Both `Client::stream` and `ResilientClient::stream` forward store
+//! frames verbatim, so they must validate each frame's structure before
+//! sending it. A damaged frame must end the stream as a local,
+//! non-transient `ClientError::Trace(Corrupt)` — without reconnects and
+//! without a single byte of it reaching the server. (Had it been sent,
+//! the server would answer with a framing error, which the retry client
+//! treats as transient and resends until its budget runs out.)
+
+use std::io::BufReader;
+use std::net::{SocketAddr, TcpListener};
+use std::thread::{self, JoinHandle};
+use std::time::Duration;
+
+use stems_client::{Client, ClientError, FaultStats, ResilientClient, RetryPolicy};
+use stems_core::protocol::Request;
+use stems_trace::store::{FRAME_HEADER_BYTES, HEADER_BYTES};
+use stems_trace::{Access, Trace, TraceReader, TraceStoreError, TraceWriter};
+use stems_types::wire::{self, WireError};
+use stems_types::{Addr, Pc};
+
+const FRAME: usize = 16;
+const FRAMES: usize = 4;
+/// The frame whose record count is damaged.
+const DAMAGED: usize = 2;
+/// Large enough that neither loop waits for a reply before it reaches
+/// the damaged frame, so the stand-in server never has to answer.
+const WINDOW: usize = FRAMES;
+const TIMEOUT: Duration = Duration::from_secs(5);
+
+fn trace() -> Trace {
+    (0..(FRAME * FRAMES) as u64)
+        .map(|i| Access::read(Pc::new(0x400 + (i % 7) * 4), Addr::new(i * 200 + (i % 3))))
+        .collect()
+}
+
+/// A store of `FRAMES` frames whose `DAMAGED` frame claims one record
+/// more than it holds. The frame CRC covers only the payload, so the
+/// damage is invisible to it.
+fn damaged_store() -> Vec<u8> {
+    let mut store = Vec::new();
+    let mut w = TraceWriter::new(&mut store)
+        .unwrap()
+        .with_frame_capacity(FRAME);
+    w.write_accesses(trace().as_slice()).unwrap();
+    w.finish().unwrap();
+    drop(w);
+    let mut pos = HEADER_BYTES;
+    for _ in 0..DAMAGED {
+        let len = u32::from_le_bytes(store[pos + 4..pos + 8].try_into().unwrap()) as usize;
+        pos += FRAME_HEADER_BYTES + len + 4;
+    }
+    assert_eq!(store[pos..pos + 4], (FRAME as u32).to_le_bytes());
+    store[pos] += 1;
+    store
+}
+
+/// Every request a stand-in server received, and how the connection
+/// ended.
+type Recording = (Vec<Request>, Result<(), WireError>);
+
+/// A stand-in daemon for one connection: it answers the hello, then
+/// records every request until the client hangs up.
+fn recording_server() -> (SocketAddr, JoinHandle<Recording>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let mut received = Vec::new();
+        let mut payload = Vec::new();
+        let outcome = (|| {
+            wire::read_hello(&mut reader)?;
+            wire::write_hello(&mut writer)?;
+            while let Some(req) = Request::read_from(&mut reader, &mut payload)? {
+                received.push(req);
+            }
+            Ok(())
+        })();
+        (received, outcome)
+    });
+    (addr, handle)
+}
+
+fn assert_damaged_frame_error(err: &ClientError) {
+    assert!(
+        matches!(
+            err,
+            ClientError::Trace(TraceStoreError::Corrupt { frame, .. }) if *frame == DAMAGED as u64
+        ),
+        "expected Trace(Corrupt) on frame {DAMAGED}, got {err:?}"
+    );
+    assert!(!err.is_transient(), "a damaged store must not be retried");
+}
+
+/// The server saw exactly the frames before the damaged one, each as
+/// one chunk of its records, and the connection ended cleanly on a
+/// message boundary.
+fn assert_only_intact_frames_arrived(
+    received: &[Request],
+    outcome: Result<(), WireError>,
+    sequenced: bool,
+) {
+    if let Err(e) = outcome {
+        panic!("the server saw a bad byte stream: {e}");
+    }
+    let trace = trace();
+    let expected: Vec<&[Access]> = trace.as_slice().chunks(FRAME).take(DAMAGED).collect();
+    assert_eq!(received.len(), expected.len(), "requests: {received:?}");
+    for (i, (req, want)) in received.iter().zip(expected).enumerate() {
+        match req {
+            Request::Chunk { session, records } if !sequenced => {
+                assert_eq!((*session, records.as_slice()), (9, want), "frame {i}");
+            }
+            Request::SeqChunk {
+                session,
+                seq,
+                records,
+            } if sequenced => {
+                assert_eq!(
+                    (*session, *seq, records.as_slice()),
+                    (9, i as u64 + 1, want),
+                    "frame {i}"
+                );
+            }
+            other => panic!("frame {i}: unexpected request {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn client_stream_stops_at_a_damaged_count_before_sending_it() {
+    let store = damaged_store();
+    let (addr, server) = recording_server();
+    let mut client = Client::connect_with(addr, TIMEOUT, TIMEOUT, TIMEOUT).unwrap();
+    let mut reader = TraceReader::new(store.as_slice()).unwrap();
+    let err = client.stream(9, &mut reader, WINDOW).unwrap_err();
+    assert_damaged_frame_error(&err);
+    // Hanging up flushes whatever the client still buffered.
+    drop(client);
+    let (received, outcome) = server.join().unwrap();
+    assert_only_intact_frames_arrived(&received, outcome, false);
+}
+
+#[test]
+fn resilient_stream_fails_fast_on_a_damaged_count_without_reconnecting() {
+    let store = damaged_store();
+    let (addr, server) = recording_server();
+    let policy = RetryPolicy {
+        connect_timeout: TIMEOUT,
+        read_timeout: TIMEOUT,
+        write_timeout: TIMEOUT,
+        ..RetryPolicy::default()
+    };
+    let mut client = ResilientClient::new(addr.to_string(), policy);
+    let mut reader = TraceReader::new(store.as_slice()).unwrap();
+    let err = client.stream(9, &mut reader, WINDOW).unwrap_err();
+    assert_damaged_frame_error(&err);
+    assert_eq!(
+        client.stats(),
+        FaultStats::default(),
+        "no retry of any kind"
+    );
+    drop(client);
+    let (received, outcome) = server.join().unwrap();
+    assert_only_intact_frames_arrived(&received, outcome, true);
+}

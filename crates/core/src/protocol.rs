@@ -449,25 +449,45 @@ fn read_open(payload: &[u8], pos: &mut usize) -> Result<OpenRequest, WireError> 
     })
 }
 
-fn encode_chunk_payload(out: &mut Vec<u8>, session: u32, records: &[Access]) {
-    varint::write_u64(out, session as u64);
-    varint::write_u64(out, records.len() as u64);
-    encode_records(records, out);
+/// Appends one complete chunk message: `Chunk` when `seq` is `None`,
+/// `SeqChunk` otherwise. `write_columns` appends the `count` records'
+/// columns in the [`encode_records`] layout. This is the one place the
+/// chunk message layout is written; every chunk encoder goes through
+/// it.
+fn encode_chunk_message(
+    out: &mut Vec<u8>,
+    scratch: &mut Vec<u8>,
+    session: u32,
+    seq: Option<u64>,
+    count: usize,
+    write_columns: impl FnOnce(&mut Vec<u8>),
+) {
+    scratch.clear();
+    varint::write_u64(scratch, session as u64);
+    if let Some(seq) = seq {
+        varint::write_u64(scratch, seq);
+    }
+    varint::write_u64(scratch, count as u64);
+    write_columns(scratch);
+    let kind = if seq.is_some() {
+        KIND_SEQ_CHUNK
+    } else {
+        KIND_CHUNK
+    };
+    wire::encode_message(out, kind, scratch);
 }
 
 /// Appends one complete `Chunk` wire message for borrowed records —
 /// byte-identical to encoding `Request::Chunk` with the same data, but
-/// without cloning the records into an owned `Vec`. This is the
-/// streaming client's hot path: trace-store chunks arrive as borrowed
-/// slices.
+/// without cloning the records into an owned `Vec`.
 pub fn encode_chunk(out: &mut Vec<u8>, scratch: &mut Vec<u8>, session: u32, records: &[Access]) {
-    scratch.clear();
-    encode_chunk_payload(scratch, session, records);
-    wire::encode_message(out, KIND_CHUNK, scratch);
+    encode_chunk_message(out, scratch, session, None, records.len(), |cols| {
+        encode_records(records, cols)
+    });
 }
 
-/// Appends one complete `SeqChunk` wire message for borrowed records —
-/// the resumable streaming client's hot path (see [`encode_chunk`]).
+/// Appends one complete `SeqChunk` wire message for borrowed records
+/// (see [`encode_chunk`]).
 pub fn encode_seq_chunk(
     out: &mut Vec<u8>,
     scratch: &mut Vec<u8>,
@@ -475,12 +495,32 @@ pub fn encode_seq_chunk(
     seq: u64,
     records: &[Access],
 ) {
-    scratch.clear();
-    varint::write_u64(scratch, session as u64);
-    varint::write_u64(scratch, seq);
-    varint::write_u64(scratch, records.len() as u64);
-    encode_records(records, scratch);
-    wire::encode_message(out, KIND_SEQ_CHUNK, scratch);
+    encode_chunk_message(out, scratch, session, Some(seq), records.len(), |cols| {
+        encode_records(records, cols)
+    });
+}
+
+/// Appends one complete chunk message — `Chunk` when `seq` is `None`,
+/// `SeqChunk` otherwise — around `count` records' already-encoded
+/// columns, copied verbatim. This is the streaming clients' hot path:
+/// a trace-store frame's payload is exactly these columns
+/// ([`stems_trace::TraceReader::next_raw_frame`]), so a stored trace
+/// is forwarded without decoding and re-encoding it. The output is
+/// byte-identical to [`encode_chunk`]/[`encode_seq_chunk`] of the
+/// decoded records; the caller must have validated the columns
+/// ([`stems_trace::store::validate_records`]), or the server rejects
+/// the message.
+pub fn encode_chunk_columns(
+    out: &mut Vec<u8>,
+    scratch: &mut Vec<u8>,
+    session: u32,
+    seq: Option<u64>,
+    count: usize,
+    columns: &[u8],
+) {
+    encode_chunk_message(out, scratch, session, seq, count, |cols| {
+        cols.extend_from_slice(columns)
+    });
 }
 
 // --- requests -------------------------------------------------------
@@ -507,17 +547,14 @@ impl Request {
         scratch.clear();
         match self {
             Request::Open(o) => write_open(scratch, o),
-            Request::Chunk { session, records } => encode_chunk_payload(scratch, *session, records),
+            Request::Chunk { session, records } => {
+                return encode_chunk(out, scratch, *session, records)
+            }
             Request::SeqChunk {
                 session,
                 seq,
                 records,
-            } => {
-                varint::write_u64(scratch, *session as u64);
-                varint::write_u64(scratch, *seq);
-                varint::write_u64(scratch, records.len() as u64);
-                encode_records(records, scratch);
-            }
+            } => return encode_seq_chunk(out, scratch, *session, *seq, records),
             Request::Resume { session, last_seq } => {
                 varint::write_u64(scratch, *session as u64);
                 varint::write_u64(scratch, *last_seq);

@@ -6,11 +6,12 @@
 use proptest::prelude::*;
 
 use stems_client::Client;
+use stems_core::protocol::{encode_chunk, encode_chunk_columns, encode_seq_chunk};
 use stems_core::protocol::{OpenRequest, Request, Response};
 use stems_core::{Predictor, PrefetchConfig, Session};
 use stems_memsim::SystemConfig;
 use stems_server::{Server, ServerConfig};
-use stems_trace::{Access, AccessKind, Dependence, Trace};
+use stems_trace::{Access, AccessKind, Dependence, Trace, TraceReader, TraceWriter};
 use stems_types::{Addr, Pc};
 
 fn access(pc: u64, addr: u64, write: bool, dep: bool, work: u16) -> Access {
@@ -51,7 +52,7 @@ fn chunk_worked_example_is_byte_exact() {
     ];
     let mut out = Vec::new();
     let mut scratch = Vec::new();
-    stems_core::protocol::encode_chunk(&mut out, &mut scratch, 7, &records);
+    encode_chunk(&mut out, &mut scratch, 7, &records);
     let expected: &[u8] = &[
         0x02, // kind = Chunk
         0x0c, 0x00, 0x00, 0x00, // payload_len = 12
@@ -67,6 +68,10 @@ fn chunk_worked_example_is_byte_exact() {
         out, expected,
         "docs/WIRE_PROTOCOL.md worked example drifted"
     );
+    // Forwarding the store frame's columns verbatim gives the same bytes.
+    let mut forwarded = Vec::new();
+    encode_chunk_columns(&mut forwarded, &mut scratch, 7, None, 2, &expected[7..17]);
+    assert_eq!(forwarded, expected);
 
     // And it decodes back to the same request.
     let (kind, payload, n) = stems_types::wire::decode_message(&out).unwrap();
@@ -129,6 +134,51 @@ proptest! {
 
         prop_assert_eq!(summary.accesses_fed, trace.len() as u64);
         prop_assert_eq!(summary.counters, expected, "chunk={} predictor={}", chunk, predictor.name());
+    }
+
+    /// Forwarding a `TraceWriter` store's frames verbatim yields, byte
+    /// for byte, the `Chunk` and `SeqChunk` messages that encoding the
+    /// decoded records yields: the streaming clients' raw path cannot
+    /// drift from the record encoders.
+    #[test]
+    fn raw_forwarded_chunks_match_the_record_encoders(
+        records in proptest::collection::vec(
+            (any::<u64>(), any::<u64>(), any::<bool>(), any::<bool>(), any::<u16>()),
+            0..200,
+        ),
+        capacity in 1usize..48,
+        session in any::<u32>(),
+        first_seq in any::<u64>(),
+    ) {
+        let trace: Trace = records
+            .iter()
+            .map(|&(pc, addr, w, d, work)| access(pc, addr, w, d, work))
+            .collect();
+        let mut store = Vec::new();
+        let mut writer = TraceWriter::new(&mut store).unwrap().with_frame_capacity(capacity);
+        writer.write_accesses(trace.as_slice()).unwrap();
+        writer.finish().unwrap();
+        drop(writer);
+
+        let mut decoded = TraceReader::new(store.as_slice()).unwrap();
+        let mut raw = TraceReader::new(store.as_slice()).unwrap();
+        let (mut scratch, mut expected, mut forwarded) = (Vec::new(), Vec::new(), Vec::new());
+        let mut seq = first_seq;
+        while let Some(chunk) = decoded.next_chunk().unwrap() {
+            let (count, columns) = raw.next_raw_frame().unwrap().unwrap();
+            expected.clear();
+            forwarded.clear();
+            encode_chunk(&mut expected, &mut scratch, session, chunk);
+            encode_chunk_columns(&mut forwarded, &mut scratch, session, None, count, columns);
+            prop_assert_eq!(&forwarded, &expected);
+            expected.clear();
+            forwarded.clear();
+            encode_seq_chunk(&mut expected, &mut scratch, session, seq, chunk);
+            encode_chunk_columns(&mut forwarded, &mut scratch, session, Some(seq), count, columns);
+            prop_assert_eq!(&forwarded, &expected);
+            seq = seq.wrapping_add(1);
+        }
+        prop_assert!(raw.next_raw_frame().unwrap().is_none());
     }
 
     /// Random bytes under any defined kind never panic the typed

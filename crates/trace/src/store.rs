@@ -403,6 +403,8 @@ pub struct RecoveryReport {
 /// [`TraceReader::next_chunk`] decodes one frame at a time into an
 /// internal buffer that is reused across frames, so replay memory is
 /// bounded by the largest frame in the file — never by trace length.
+/// [`TraceReader::next_raw_frame`] reads the same frames with the same
+/// checks but hands back their verified column bytes undecoded.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     src: R,
@@ -435,7 +437,7 @@ impl TraceReader<BufReader<File>> {
         let path = path.as_ref();
         let mut reader = TraceReader::open(path)?;
         let damage = loop {
-            match reader.next_chunk() {
+            match reader.next_raw_frame() {
                 Ok(Some(_)) => {}
                 Ok(None) => break None,
                 // The valid prefix ends where the failed frame began
@@ -505,6 +507,34 @@ impl<R: Read> TraceReader<R> {
     /// buffer and is invalidated by the next call — feed it forward
     /// (e.g. into `Session::run_chunk`) before advancing.
     pub fn next_chunk(&mut self) -> Result<Option<&[Access]>, TraceStoreError> {
+        let frame = self.read_frame(decode_records)?;
+        Ok(frame.map(|_| self.decoded.as_slice()))
+    }
+
+    /// Reads the next frame without decoding it and returns its record
+    /// count and its column bytes (the payload [`encode_records`]
+    /// wrote), or `None` at a clean end of stream. The slice borrows an
+    /// internal buffer and is invalidated by the next call.
+    ///
+    /// The frame passes every check [`TraceReader::next_chunk`] makes:
+    /// the CRC, and then [`validate_records`], because the CRC does not
+    /// cover the header's record count. So the returned pair always
+    /// decodes, and a forwarder (the streaming client) can hand the
+    /// columns on verbatim.
+    pub fn next_raw_frame(&mut self) -> Result<Option<(usize, &[u8])>, TraceStoreError> {
+        let frame = self.read_frame(|payload, count, _| validate_records(payload, count))?;
+        Ok(frame.map(|count| (count, self.payload.as_slice())))
+    }
+
+    /// Reads one frame into `self.payload`, checks its header bounds
+    /// and CRC, runs `check` on the verified columns, and only then
+    /// advances the position — a failed frame leaves `offset` at its
+    /// start (what [`TraceReader::recover_tail`] truncates to). Returns
+    /// the record count, or `None` at a clean end of stream.
+    fn read_frame(
+        &mut self,
+        check: impl FnOnce(&[u8], usize, &mut Vec<Access>) -> Result<(), &'static str>,
+    ) -> Result<Option<usize>, TraceStoreError> {
         let frame_offset = self.offset;
         let mut frame_header = [0u8; FRAME_HEADER_BYTES];
         match read_full(&mut self.src, &mut frame_header)? {
@@ -542,12 +572,11 @@ impl<R: Read> TraceReader<R> {
                 computed,
             });
         }
-        decode_records(&self.payload, count, &mut self.decoded)
-            .map_err(|reason| self.corrupt(reason))?;
+        check(&self.payload, count, &mut self.decoded).map_err(|reason| self.corrupt(reason))?;
         self.offset = frame_offset + (FRAME_HEADER_BYTES + payload_len + CHECKSUM_BYTES) as u64;
         self.frames += 1;
         self.records += count as u64;
-        Ok(Some(&self.decoded))
+        Ok(Some(count))
     }
 
     /// Frames decoded so far.
@@ -681,15 +710,9 @@ pub fn decode_records(
     out.clear();
     out.reserve(count);
     let mut pos = 0usize;
-    let next_delta = |payload: &[u8], pos: &mut usize| -> Result<i64, &'static str> {
-        let (v, n) =
-            varint::read_i64(&payload[*pos..]).ok_or("varint runs past the frame payload")?;
-        *pos += n;
-        Ok(v)
-    };
     let mut prev = 0i64;
     for _ in 0..count {
-        prev = prev.wrapping_add(next_delta(payload, &mut pos)?);
+        prev = prev.wrapping_add(varint::unzigzag(read_varint(payload, &mut pos)?));
         out.push(Access {
             pc: Pc::new(prev as u64),
             addr: Addr::new(0),
@@ -700,15 +723,12 @@ pub fn decode_records(
     }
     let mut prev = 0i64;
     for a in out.iter_mut() {
-        prev = prev.wrapping_add(next_delta(payload, &mut pos)?);
+        prev = prev.wrapping_add(varint::unzigzag(read_varint(payload, &mut pos)?));
         a.addr = Addr::new(prev as u64);
     }
-    let flag_bytes = count.div_ceil(4);
-    if payload.len() < pos + flag_bytes {
-        return Err("flags column runs past the frame payload");
-    }
+    let flags = flags_column(payload, &mut pos, count)?;
     for (i, a) in out.iter_mut().enumerate() {
-        let bits = payload[pos + i / 4] >> (2 * (i % 4));
+        let bits = flags[i / 4] >> (2 * (i % 4));
         a.kind = if bits & 0b01 != 0 {
             AccessKind::Write
         } else {
@@ -720,24 +740,74 @@ pub fn decode_records(
             Dependence::Independent
         };
     }
-    // Canonical encoding: padding bits in the final flags byte are zero.
-    if !count.is_multiple_of(4) && payload[pos + flag_bytes - 1] >> (2 * (count % 4)) != 0 {
-        return Err("nonzero padding bits in the flags column");
-    }
-    pos += flag_bytes;
     for a in out.iter_mut() {
-        let (work, n) =
-            varint::read_u64(&payload[pos..]).ok_or("varint runs past the frame payload")?;
-        pos += n;
-        if work > u16::MAX as u64 {
-            return Err("work value exceeds u16");
-        }
-        a.work_before = work as u16;
+        a.work_before = read_work(payload, &mut pos)?;
     }
     if pos != payload.len() {
         return Err("trailing bytes after the last column");
     }
     Ok(())
+}
+
+/// Checks that `payload` is a columnar payload of exactly `count`
+/// records without building them: it accepts exactly the payloads
+/// [`decode_records`] accepts, and rejects the rest with the same
+/// reason. This is what lets a forwarder pass verified frame bytes on
+/// verbatim ([`TraceReader::next_raw_frame`]).
+pub fn validate_records(payload: &[u8], count: usize) -> Result<(), &'static str> {
+    let mut pos = 0usize;
+    // The pc and address columns: 2 × count varints back to back.
+    for _ in 0..count {
+        read_varint(payload, &mut pos)?;
+        read_varint(payload, &mut pos)?;
+    }
+    flags_column(payload, &mut pos, count)?;
+    for _ in 0..count {
+        read_work(payload, &mut pos)?;
+    }
+    if pos != payload.len() {
+        return Err("trailing bytes after the last column");
+    }
+    Ok(())
+}
+
+/// Reads one LEB128 varint at `*pos`. Most deltas in a real trace fit
+/// in one byte, so that case skips the general decoder.
+#[inline(always)]
+fn read_varint(payload: &[u8], pos: &mut usize) -> Result<u64, &'static str> {
+    if let Some(&b) = payload.get(*pos) {
+        if b < 0x80 {
+            *pos += 1;
+            return Ok(b as u64);
+        }
+    }
+    let (v, n) = varint::read_u64(&payload[*pos..]).ok_or("varint runs past the frame payload")?;
+    *pos += n;
+    Ok(v)
+}
+
+/// Reads one work-column value at `*pos`, which must fit a `u16`.
+#[inline(always)]
+fn read_work(payload: &[u8], pos: &mut usize) -> Result<u16, &'static str> {
+    u16::try_from(read_varint(payload, pos)?).map_err(|_| "work value exceeds u16")
+}
+
+/// Returns the packed kind/dep flags column of `count` records at
+/// `*pos` and moves past it. Canonical encoding: the padding bits in
+/// the final byte are zero.
+fn flags_column<'a>(
+    payload: &'a [u8],
+    pos: &mut usize,
+    count: usize,
+) -> Result<&'a [u8], &'static str> {
+    let flags = payload
+        .get(*pos..*pos + count.div_ceil(4))
+        .ok_or("flags column runs past the frame payload")?;
+    if !count.is_multiple_of(4) && flags[flags.len() - 1] >> (2 * (count % 4)) != 0 {
+        return Err("nonzero padding bits in the flags column");
+    }
+    *pos += flags.len();
+    Ok(flags)
 }
 
 /// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), the checksum named in

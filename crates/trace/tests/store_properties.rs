@@ -6,7 +6,8 @@
 use proptest::prelude::*;
 
 use stems_trace::store::{
-    write_store, DEFAULT_FRAME_RECORDS, HEADER_BYTES, STORE_MAGIC, STORE_VERSION,
+    decode_records, encode_records, validate_records, write_store, DEFAULT_FRAME_RECORDS,
+    HEADER_BYTES, STORE_MAGIC, STORE_VERSION,
 };
 use stems_trace::{
     Access, AccessKind, Dependence, Trace, TraceReader, TraceStoreError, TraceWriter,
@@ -115,6 +116,184 @@ proptest! {
         let pos = pos % bytes.len();
         bytes[pos] ^= 1 << bit;
         let _ = read_all(&bytes); // Ok or Err both acceptable; no panic.
+    }
+}
+
+/// `validate_records` must accept exactly what `decode_records`
+/// accepts, and reject the rest with the same reason.
+fn assert_validate_agrees(payload: &[u8], count: usize, what: &str) {
+    let mut out = Vec::new();
+    assert_eq!(
+        validate_records(payload, count),
+        decode_records(payload, count, &mut out),
+        "{what}"
+    );
+}
+
+/// One real frame's `(count, payload)`: mixed-width varints in every
+/// column, writes and dependences in the flags, and a partial final
+/// flags byte (padding bits present).
+fn real_frame() -> (usize, Vec<u8>) {
+    let trace: Trace = (0..23u64)
+        .map(|i| {
+            access(
+                0x40_0000 + (i % 5) * 0x1_0000,
+                (i * 0x9E37_79B9) << (i % 9),
+                i % 3 == 0,
+                i % 4 == 1,
+                (i * 977 % 65_536) as u16,
+            )
+        })
+        .collect();
+    let mut store = Vec::new();
+    write_store(&mut store, &trace).unwrap();
+    let mut reader = TraceReader::new(store.as_slice()).unwrap();
+    let (count, payload) = reader.next_raw_frame().unwrap().unwrap();
+    (count, payload.to_vec())
+}
+
+proptest! {
+    /// Encoded records always validate, and arbitrary bytes under an
+    /// arbitrary count validate exactly when they decode.
+    #[test]
+    fn validate_records_agrees_with_decode_on_any_input(
+        records in proptest::collection::vec(
+            (any::<u64>(), any::<u64>(), any::<bool>(), any::<bool>(), any::<u16>()),
+            0..64,
+        ),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+        count in 0usize..40,
+    ) {
+        let records: Vec<Access> = records
+            .iter()
+            .map(|&(pc, addr, w, d, work)| access(pc, addr, w, d, work))
+            .collect();
+        let mut payload = Vec::new();
+        encode_records(&records, &mut payload);
+        prop_assert_eq!(validate_records(&payload, records.len()), Ok(()));
+        let mut out = Vec::new();
+        prop_assert_eq!(
+            validate_records(&noise, count),
+            decode_records(&noise, count, &mut out)
+        );
+    }
+}
+
+#[test]
+fn validate_records_agrees_with_decode_on_every_damaged_real_frame() {
+    let (count, payload) = real_frame();
+    assert_validate_agrees(&payload, count, "pristine");
+    for claimed in [0, 1, count - 1, count + 1, 2 * count] {
+        assert_validate_agrees(&payload, claimed, &format!("count {claimed}"));
+    }
+    for cut in 0..payload.len() {
+        assert_validate_agrees(&payload[..cut], count, &format!("cut at {cut}"));
+    }
+    for pos in 0..payload.len() {
+        for flip in 1..=255u8 {
+            let mut bad = payload.clone();
+            bad[pos] ^= flip;
+            assert_validate_agrees(&bad, count, &format!("byte {pos} ^ {flip:#04x}"));
+        }
+    }
+    let mut longer = payload.clone();
+    longer.push(0);
+    assert_validate_agrees(&longer, count, "one trailing byte");
+}
+
+#[test]
+fn validate_records_agrees_with_decode_on_hostile_columns() {
+    // One record: pc delta, addr delta, flags byte, work value.
+    let cases: &[(&str, &[u8])] = &[
+        ("empty payload", &[]),
+        ("varint cut short", &[0x80]),
+        ("varint past 10 bytes", &[0x80; 11]),
+        (
+            "10th varint byte carries more than one bit",
+            &[
+                0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02, 0, 0, 0,
+            ],
+        ),
+        (
+            "widest legal varint",
+            &[
+                0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0, 0, 0,
+            ],
+        ),
+        ("missing flags", &[0, 0]),
+        ("nonzero padding bits", &[0, 0, 0b0100, 0]),
+        ("work exceeds u16", &[0, 0, 0, 0x80, 0x80, 0x04]),
+        ("largest work value", &[0, 0, 0, 0xFF, 0xFF, 0x03]),
+        (
+            "overlong work encoding of a small value",
+            &[0, 0, 0, 0x81, 0x80, 0x00],
+        ),
+        ("missing work", &[0, 0, 0]),
+        ("trailing byte", &[0, 0, 0, 0, 0]),
+    ];
+    for (what, payload) in cases {
+        for count in 0..3 {
+            assert_validate_agrees(payload, count, &format!("{what}, count {count}"));
+        }
+    }
+}
+
+#[test]
+fn raw_frames_match_decoded_chunks_and_share_their_errors() {
+    let full = valid_store();
+    let mut chunks = TraceReader::new(full.as_slice()).unwrap();
+    let mut raw = TraceReader::new(full.as_slice()).unwrap();
+    while let Some(chunk) = chunks.next_chunk().unwrap() {
+        let (count, columns) = raw.next_raw_frame().unwrap().unwrap();
+        let mut encoded = Vec::new();
+        encode_records(chunk, &mut encoded);
+        assert_eq!((count, columns), (chunk.len(), encoded.as_slice()));
+    }
+    assert!(raw.next_raw_frame().unwrap().is_none());
+    assert_eq!(
+        (raw.frames_read(), raw.records_read()),
+        (chunks.frames_read(), chunks.records_read())
+    );
+
+    // The record count sits outside the CRC: bumping it must still be
+    // caught, as Corrupt, by both paths, on the frame it damages.
+    let frame_len = (full.len() - HEADER_BYTES) / 3;
+    let mut bytes = full;
+    bytes[HEADER_BYTES + frame_len] += 1;
+    let mut chunks = TraceReader::new(bytes.as_slice()).unwrap();
+    let mut raw = TraceReader::new(bytes.as_slice()).unwrap();
+    assert!(chunks.next_chunk().unwrap().is_some());
+    assert!(raw.next_raw_frame().unwrap().is_some());
+    let (a, b) = (
+        chunks.next_chunk().unwrap_err(),
+        raw.next_raw_frame().unwrap_err(),
+    );
+    match (&a, &b) {
+        (
+            TraceStoreError::Corrupt {
+                frame: 1,
+                reason: ra,
+            },
+            TraceStoreError::Corrupt {
+                frame: 1,
+                reason: rb,
+            },
+        ) => assert_eq!(ra, rb),
+        _ => panic!("expected Corrupt on frame 1 from both paths, got {a:?} and {b:?}"),
+    }
+
+    // Every truncation point fails (or ends cleanly) identically.
+    let full = valid_store();
+    for cut in 0..full.len() {
+        let chunked = read_all(&full[..cut]).map(|t| t.len());
+        let rawed = TraceReader::new(&full[..cut]).and_then(|mut r| {
+            let mut n = 0;
+            while let Some((count, _)) = r.next_raw_frame()? {
+                n += count;
+            }
+            Ok(n)
+        });
+        assert_eq!(format!("{chunked:?}"), format!("{rawed:?}"), "cut at {cut}");
     }
 }
 

@@ -343,9 +343,21 @@ pub fn read_message<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<Option<
     if len > MAX_MESSAGE_PAYLOAD {
         return Err(WireError::Oversized { len });
     }
+    // Grow the buffer only as the body arrives, at most doubling what
+    // has been read so far: a header that declares the maximum length
+    // and then hangs up must not cost a 64 MiB zero-fill that the
+    // connection's reused buffer would then keep.
+    let len = len as usize;
     payload.clear();
-    payload.resize(len as usize, 0);
-    read_full(r, payload, "message body")?;
+    while payload.len() < len {
+        let filled = payload.len();
+        let target = len.min(filled.max(BODY_STEP / 2) * 2);
+        // Exact, so the buffer the connection keeps is no larger than
+        // its largest message.
+        payload.reserve_exact(target - filled);
+        payload.resize(target, 0);
+        read_full(r, &mut payload[filled..], "message body")?;
+    }
     let mut crc_bytes = [0u8; 4];
     read_full(r, &mut crc_bytes, "message checksum")?;
     let stored = u32::from_le_bytes(crc_bytes);
@@ -361,6 +373,10 @@ pub fn read_message<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<Option<
     }
     Ok(Some(kind))
 }
+
+/// How much of a message body [`read_message`] buffers before any of
+/// it has arrived; past this the buffer grows by doubling.
+const BODY_STEP: usize = 64 * 1024;
 
 /// Reads exactly `buf.len()` bytes or returns [`WireError::Truncated`].
 fn read_full<R: Read>(r: &mut R, buf: &mut [u8], context: &'static str) -> Result<(), WireError> {

@@ -150,6 +150,24 @@ fn hostile_length_prefix_cannot_force_a_huge_allocation() {
         0,
         "no payload allocation for a rejected length"
     );
+    // A header declaring exactly the bound is accepted, but the body
+    // buffer grows only with the bytes that actually arrive: a peer
+    // that sends a few bytes and hangs up cannot make the reader
+    // zero-fill (and keep) the full 64 MiB.
+    let mut bytes = vec![0x01u8];
+    bytes.extend_from_slice(&MAX_MESSAGE_PAYLOAD.to_le_bytes());
+    bytes.extend_from_slice(b"a few body bytes");
+    let mut r = bytes.as_slice();
+    let mut payload = Vec::new();
+    assert!(matches!(
+        wire::read_message(&mut r, &mut payload),
+        Err(WireError::Truncated { .. })
+    ));
+    assert!(
+        payload.capacity() <= 1 << 20,
+        "truncated at-the-bound body grew the buffer to {} bytes",
+        payload.capacity()
+    );
 }
 
 #[test]
