@@ -5,8 +5,10 @@
 //! configuration), stream trace chunks into them, read back per-chunk
 //! counter snapshots, and collect end-of-stream summaries. The
 //! streaming path ([`Client::stream`]) pipelines a bounded window of
-//! chunks before reading each snapshot back, so the link stays full
-//! without unbounded in-flight work on either side.
+//! sequenced chunks before reading each snapshot back, so the link
+//! stays full without unbounded in-flight work on either side; the
+//! same loop runs [`ResilientClient::stream`], which heals faults
+//! instead of returning them.
 //!
 //! # Example
 //!
@@ -45,6 +47,7 @@ use stems_trace::{Access, TraceReader};
 use stems_types::wire::{self, WireError};
 
 pub mod retry;
+mod stream;
 
 pub use retry::{FaultStats, ResilientClient, RetryPolicy};
 
@@ -78,6 +81,19 @@ pub enum ClientError {
     Disconnected,
     /// Reading the local trace store failed while streaming.
     Trace(TraceStoreError),
+    /// The server's record count for the session disagrees with what
+    /// the stream sent through `seq`: the session already held
+    /// sequenced chunks when the stream started (so the server deduped
+    /// the stream's first chunks as retransmits), or records were lost.
+    /// The session's counters no longer describe the trace.
+    Diverged {
+        /// The last sequence number the acknowledgement covered.
+        seq: u64,
+        /// Records the stream sent through `seq`.
+        sent: u64,
+        /// Records the server reports applied.
+        applied: u64,
+    },
 }
 
 impl ClientError {
@@ -95,7 +111,9 @@ impl ClientError {
             ClientError::Server { message, .. } => {
                 message.starts_with(protocol::FRAMING_ERROR_PREFIX)
             }
-            ClientError::UnexpectedResponse { .. } | ClientError::Trace(_) => false,
+            ClientError::UnexpectedResponse { .. }
+            | ClientError::Trace(_)
+            | ClientError::Diverged { .. } => false,
         }
     }
 }
@@ -136,6 +154,10 @@ impl fmt::Display for ClientError {
             }
             ClientError::Disconnected => write!(f, "server closed the connection"),
             ClientError::Trace(e) => write!(f, "trace store error: {e}"),
+            ClientError::Diverged { seq, sent, applied } => write!(
+                f,
+                "session diverged at seq {seq}: stream sent {sent} records, server applied {applied}"
+            ),
         }
     }
 }
@@ -296,32 +318,12 @@ impl Client {
         }
     }
 
-    /// Sends one chunk and waits for its counter snapshot — the
-    /// unpipelined convenience path. [`Client::stream`] keeps a window
-    /// in flight instead.
-    pub fn send_chunk(
-        &mut self,
-        session: u32,
-        records: &[Access],
-    ) -> Result<ChunkStats, ClientError> {
-        self.write_chunk(session, records)?;
-        self.read_stats()
-    }
-
-    /// Queues one chunk without waiting for its snapshot. Pair with
-    /// [`Client::read_stats`]; at most one snapshot is owed per queued
-    /// chunk.
-    pub fn write_chunk(&mut self, session: u32, records: &[Access]) -> Result<(), ClientError> {
-        self.frame.clear();
-        protocol::encode_chunk(&mut self.frame, &mut self.scratch, session, records);
-        self.writer.write_all(&self.frame)?;
-        Ok(())
-    }
-
-    /// Queues one *sequenced* chunk ([`Request::SeqChunk`]) without
-    /// waiting for its snapshot. Sequenced chunks are what make a
-    /// session resumable: the server journals `seq` and skips
-    /// retransmits idempotently.
+    /// Queues one chunk ([`Request::SeqChunk`]) without waiting for its
+    /// snapshot. Pair with [`Client::read_stats`]; one snapshot is owed
+    /// per queued chunk. The server journals `seq` — the chunk's
+    /// 1-based position in the session's stream — and skips
+    /// retransmits idempotently, which is what makes a session
+    /// resumable.
     pub fn write_seq_chunk(
         &mut self,
         session: u32,
@@ -389,50 +391,29 @@ impl Client {
         }
     }
 
-    /// Streams a whole persisted trace into `session`, keeping up to
-    /// `window` chunks in flight (clamped to at least 1). Returns the
-    /// number of records fed and the last counter snapshot, which
-    /// reflects every record because the final snapshots are drained
-    /// before returning.
+    /// Streams a whole persisted trace into `session` as sequenced
+    /// chunks numbered from 1, keeping up to `window` chunks in flight
+    /// (clamped to at least 1). Returns the number of records fed and
+    /// the last counter snapshot, which reflects every record because
+    /// the final snapshots are drained before returning. The first
+    /// fault ends the stream; [`ResilientClient::stream`] heals
+    /// transient ones instead.
     ///
-    /// Each store frame is forwarded as one `Chunk` whose columns are
-    /// the frame's verified payload, copied verbatim
+    /// Each store frame is forwarded as one `SeqChunk` whose columns
+    /// are the frame's verified payload, copied verbatim
     /// ([`TraceReader::next_raw_frame`]). A frame that fails its CRC or
     /// its structure check ends the stream with
-    /// [`ClientError::Trace`] before any byte of it is sent.
+    /// [`ClientError::Trace`] before any byte of it is sent. Every
+    /// snapshot is checked against the records sent so far, so
+    /// streaming into a session that already holds chunks fails with
+    /// [`ClientError::Diverged`] instead of silently dropping records.
     pub fn stream<R: Read>(
         &mut self,
         session: u32,
         reader: &mut TraceReader<R>,
         window: usize,
     ) -> Result<(u64, Option<ChunkStats>), ClientError> {
-        let window = window.max(1);
-        let mut in_flight = 0usize;
-        let mut fed = 0u64;
-        let mut last = None;
-        while let Some((count, columns)) = reader.next_raw_frame()? {
-            if in_flight == window {
-                last = Some(self.read_stats()?);
-                in_flight -= 1;
-            }
-            self.frame.clear();
-            protocol::encode_chunk_columns(
-                &mut self.frame,
-                &mut self.scratch,
-                session,
-                None,
-                count,
-                columns,
-            );
-            self.writer.write_all(&self.frame)?;
-            in_flight += 1;
-            fed += count as u64;
-        }
-        while in_flight > 0 {
-            last = Some(self.read_stats()?);
-            in_flight -= 1;
-        }
-        Ok((fed, last))
+        stream::stream(self, session, reader, window)
     }
 
     /// Scrapes the server's metrics: the rendered text exposition and,

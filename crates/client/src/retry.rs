@@ -6,13 +6,14 @@
 //! with deterministic seeded jitter, connect timeout, per-call socket
 //! deadlines) and the resume protocol from `docs/FAULT_TOLERANCE.md`.
 //!
-//! The streaming path keeps every unacknowledged sequenced chunk
-//! buffered (as its already-encoded wire frame). When anything
-//! transient goes wrong mid-stream — a torn connection, a truncated or
-//! corrupted frame, a `Busy` rejection — it tears the connection down,
-//! backs off, reconnects, sends `Resume{session, last_acked_seq}`,
-//! drops the buffered frames the server's journal already applied,
-//! resends the rest byte-identically, and keeps going. The server's
+//! Streaming runs the same sequenced loop as [`Client::stream`], which
+//! keeps every unacknowledged chunk buffered (as its already-encoded
+//! wire frame). When anything transient goes wrong mid-stream — a torn
+//! connection, a truncated or corrupted frame, a `Busy` rejection —
+//! the resilient client tears the connection down, backs off,
+//! reconnects, sends `Resume{session, last_acked_seq}`, drops the
+//! buffered frames the server's journal already applied, resends the
+//! rest byte-identically, and keeps going. The server's
 //! idempotent dedupe guarantees the replayed stream produces counters
 //! byte-identical to a fault-free run.
 //!
@@ -21,13 +22,13 @@
 //! under a fixed seed, and the chaos harness can assert that retry
 //! counts equal injected-fault counts.
 
-use std::collections::VecDeque;
 use std::io::Read;
 use std::time::Duration;
 
-use stems_core::protocol::{self, ChunkStats, OpenRequest, SessionSummary};
+use stems_core::protocol::{ChunkStats, OpenRequest, SessionSummary};
 use stems_trace::TraceReader;
 
+use crate::stream::{self, Link, Window};
 use crate::{Client, ClientError};
 
 /// How a [`ResilientClient`] retries: bounded exponential backoff with
@@ -76,6 +77,15 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl RetryPolicy {
+    /// A policy that never retries: the first fault, transient or not,
+    /// is returned as is. The other fields keep their defaults.
+    pub fn none() -> RetryPolicy {
+        RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        }
+    }
+
     /// The backoff before retry attempt `attempt` (0-based): a pure
     /// function of `(jitter_seed, attempt)`, so the whole schedule is
     /// reproducible under a fixed seed. The raw delay doubles each
@@ -124,13 +134,6 @@ pub struct FaultStats {
     /// Resent chunks the server's journal had already applied (their
     /// original `Stats` reply died with the old connection).
     pub chunks_deduped: u64,
-}
-
-/// One buffered in-flight chunk: its sequence number, the exact wire
-/// frame that was sent, and how many records it carries.
-struct Pending {
-    seq: u64,
-    frame: Vec<u8>,
 }
 
 /// A [`Client`] wrapped in a [`RetryPolicy`] and the resume protocol:
@@ -243,107 +246,52 @@ impl ResilientClient {
     /// record, because all snapshots are drained before returning).
     ///
     /// The trace reader is forward-only, so the unacknowledged window
-    /// is buffered here as encoded frames; a resume resends exactly
-    /// the frames the server's journal has not applied, and the
-    /// server's dedupe absorbs any overlap. Counters stay
-    /// byte-identical to a fault-free run.
+    /// is buffered as encoded frames; a resume resends exactly the
+    /// frames the server's journal has not applied, and the server's
+    /// dedupe absorbs any overlap. Counters stay byte-identical to a
+    /// fault-free run. Like [`Client::stream`], it fails with
+    /// [`ClientError::Diverged`] rather than retrying when the server's
+    /// record count disagrees with the stream's.
     pub fn stream<R: Read>(
         &mut self,
         session: u32,
         reader: &mut TraceReader<R>,
         window: usize,
     ) -> Result<(u64, Option<ChunkStats>), ClientError> {
-        let window = window.max(1);
-        let mut pending: VecDeque<Pending> = VecDeque::with_capacity(window);
-        let mut next_seq = 1u64;
-        let mut acked_seq = 0u64;
-        let mut fed = 0u64;
-        let mut last: Option<ChunkStats> = None;
-        let mut attempt = 0u32;
-        let mut scratch = Vec::new();
-        let mut exhausted = false;
+        stream::stream(self, session, reader, window)
+    }
+}
 
-        while !exhausted || !pending.is_empty() {
-            // Fill the window from the reader, wrapping each store
-            // frame's verified columns once (the buffered message is
-            // also the retransmit unit).
-            while !exhausted && pending.len() < window {
-                match reader.next_raw_frame()? {
-                    None => exhausted = true,
-                    Some((count, columns)) => {
-                        let mut frame = Vec::new();
-                        protocol::encode_chunk_columns(
-                            &mut frame,
-                            &mut scratch,
-                            session,
-                            Some(next_seq),
-                            count,
-                            columns,
-                        );
-                        fed += count as u64;
-                        let send = self.connect().and_then(|c| c.write_frame_bytes(&frame));
-                        pending.push_back(Pending {
-                            seq: next_seq,
-                            frame,
-                        });
-                        next_seq += 1;
-                        if let Err(e) = send {
-                            attempt = self.recover(
-                                session,
-                                &mut pending,
-                                &mut acked_seq,
-                                &mut last,
-                                attempt,
-                                e,
-                            )?;
-                        }
-                    }
-                }
-            }
-            if pending.is_empty() {
-                break;
-            }
-            // One snapshot owed per in-flight frame, in order.
-            match self.connect().and_then(|c| c.read_stats()) {
-                Ok(stats) => {
-                    attempt = 0;
-                    let head = pending.pop_front().expect("stats without a pending chunk");
-                    acked_seq = head.seq;
-                    last = Some(stats);
-                }
-                Err(e) => {
-                    attempt =
-                        self.recover(session, &mut pending, &mut acked_seq, &mut last, attempt, e)?;
-                }
-            }
-        }
-        Ok((fed, last))
+impl Link for ResilientClient {
+    fn conn(&mut self) -> Result<&mut Client, ClientError> {
+        self.connect()
     }
 
     /// Heals one mid-stream fault: tear down, back off, reconnect,
-    /// `Resume`, drop journal-applied frames from the window, resend
-    /// the rest. Returns the attempt counter to carry forward (0 after
-    /// a successful recovery); consecutive failures share it so a dead
-    /// server exhausts `max_retries` instead of looping forever.
-    fn recover(
+    /// `Resume`, acknowledge the frames the journal already applied,
+    /// resend the rest. Consecutive failures share the window's fault
+    /// counter (reset by every acknowledgement and every successful
+    /// recovery), so a dead server exhausts `max_retries` instead of
+    /// looping forever.
+    fn heal(
         &mut self,
         session: u32,
-        pending: &mut VecDeque<Pending>,
-        acked_seq: &mut u64,
-        last: &mut Option<ChunkStats>,
-        mut attempt: u32,
+        window: &mut Window,
         cause: ClientError,
-    ) -> Result<u32, ClientError> {
+    ) -> Result<(), ClientError> {
         if !cause.is_transient() {
             return Err(cause);
         }
         let mut err = cause;
         loop {
-            if attempt >= self.policy.max_retries {
+            if window.failures >= self.policy.max_retries {
                 return Err(err);
             }
-            attempt = self.note_fault(&err, attempt);
-            let info = match self.connect().and_then(|c| c.resume(session, *acked_seq)) {
+            window.failures = self.note_fault(&err, window.failures);
+            let info = match self
+                .connect()
+                .and_then(|c| c.resume(session, window.acked_seq))
+            {
                 Ok(info) => info,
                 Err(e) if e.is_transient() => {
                     err = e;
@@ -355,20 +303,16 @@ impl ResilientClient {
             // Frames the server's journal already applied are
             // acknowledged now; their Stats replies died with the old
             // connection.
-            while pending.front().is_some_and(|p| p.seq <= info.last_seq) {
-                let done = pending.pop_front().expect("checked non-empty");
-                *acked_seq = done.seq;
-                self.stats.chunks_deduped += 1;
-            }
-            *last = Some(ChunkStats {
+            self.stats.chunks_deduped += window.ack_through(info.last_seq, info.accesses_fed)?;
+            window.last = Some(ChunkStats {
                 session,
                 accesses_fed: info.accesses_fed,
                 counters: info.counters,
             });
             // Resend the rest of the window byte-identically.
             let mut resend_err = None;
-            for p in pending.iter() {
-                match self.connect().and_then(|c| c.write_frame_bytes(&p.frame)) {
+            for frame in window.unacked() {
+                match self.connect().and_then(|c| c.write_frame_bytes(frame)) {
                     Ok(()) => self.stats.chunks_resent += 1,
                     Err(e) if e.is_transient() => {
                         // The fresh connection died too; resume again.
@@ -380,7 +324,10 @@ impl ResilientClient {
             }
             match resend_err {
                 Some(e) => err = e,
-                None => return Ok(0),
+                None => {
+                    window.failures = 0;
+                    return Ok(());
+                }
             }
         }
     }
@@ -417,6 +364,28 @@ mod tests {
         let policy = RetryPolicy::default();
         assert!(policy.busy_delay(0, 500) >= Duration::from_millis(500));
         assert!(policy.busy_delay(0, u32::MAX) <= policy.max_delay);
+    }
+
+    #[test]
+    fn no_retry_policy_returns_the_first_fault_without_sleeping() {
+        // A port nothing listens on: connecting fails at once with a
+        // transient fault. A policy that slept its backoff even once
+        // would take at least half of `base_delay`.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap();
+        let policy = RetryPolicy {
+            base_delay: Duration::from_secs(10),
+            max_delay: Duration::from_secs(10),
+            ..RetryPolicy::none()
+        };
+        assert_eq!(policy.max_retries, 0);
+        let mut client = ResilientClient::new(addr.to_string(), policy);
+        let started = std::time::Instant::now();
+        let err = client.close(1).unwrap_err();
+        assert!(err.is_transient(), "{err:?}");
+        assert!(started.elapsed() < Duration::from_secs(5), "it slept");
+        assert_eq!(client.stats(), FaultStats::default());
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! Error semantics of the two streaming loops when a stored frame is
-//! damaged where its CRC cannot see: the frame header's record count.
+//! Error semantics of the streaming loop shared by `Client::stream`
+//! and `ResilientClient::stream`, for faults no retry can heal.
 //!
-//! Both `Client::stream` and `ResilientClient::stream` forward store
-//! frames verbatim, so they must validate each frame's structure before
-//! sending it. A damaged frame must end the stream as a local,
-//! non-transient `ClientError::Trace(Corrupt)` — without reconnects and
-//! without a single byte of it reaching the server. (Had it been sent,
-//! the server would answer with a framing error, which the retry client
-//! treats as transient and resends until its budget runs out.)
+//! * A stored frame damaged where its CRC cannot see — the frame
+//!   header's record count. Both clients forward store frames verbatim,
+//!   so they must validate each frame's structure before sending it. A
+//!   damaged frame must end the stream as a local, non-transient
+//!   `ClientError::Trace(Corrupt)` — without reconnects and without a
+//!   single byte of it reaching the server. (Had it been sent, the
+//!   server would answer with a framing error, which the retry client
+//!   treats as transient and resends until its budget runs out.)
+//! * A session that already holds sequenced chunks. The stream numbers
+//!   its chunks from 1, so the server dedupes its first chunks as
+//!   retransmits; the stream must fail with `ClientError::Diverged`
+//!   instead of returning a record count the session never applied.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener};
@@ -15,7 +20,10 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use stems_client::{Client, ClientError, FaultStats, ResilientClient, RetryPolicy};
-use stems_core::protocol::Request;
+use stems_core::protocol::{OpenRequest, Request};
+use stems_core::{Predictor, PrefetchConfig};
+use stems_memsim::SystemConfig;
+use stems_server::{Server, ServerConfig};
 use stems_trace::store::{FRAME_HEADER_BYTES, HEADER_BYTES};
 use stems_trace::{Access, Trace, TraceReader, TraceStoreError, TraceWriter};
 use stems_types::wire::{self, WireError};
@@ -40,13 +48,7 @@ fn trace() -> Trace {
 /// more than it holds. The frame CRC covers only the payload, so the
 /// damage is invisible to it.
 fn damaged_store() -> Vec<u8> {
-    let mut store = Vec::new();
-    let mut w = TraceWriter::new(&mut store)
-        .unwrap()
-        .with_frame_capacity(FRAME);
-    w.write_accesses(trace().as_slice()).unwrap();
-    w.finish().unwrap();
-    drop(w);
+    let mut store = intact_store();
     let mut pos = HEADER_BYTES;
     for _ in 0..DAMAGED {
         let len = u32::from_le_bytes(store[pos + 4..pos + 8].try_into().unwrap()) as usize;
@@ -55,6 +57,26 @@ fn damaged_store() -> Vec<u8> {
     assert_eq!(store[pos..pos + 4], (FRAME as u32).to_le_bytes());
     store[pos] += 1;
     store
+}
+
+fn intact_store() -> Vec<u8> {
+    let mut store = Vec::new();
+    let mut w = TraceWriter::new(&mut store)
+        .unwrap()
+        .with_frame_capacity(FRAME);
+    w.write_accesses(trace().as_slice()).unwrap();
+    w.finish().unwrap();
+    drop(w);
+    store
+}
+
+fn policy() -> RetryPolicy {
+    RetryPolicy {
+        connect_timeout: TIMEOUT,
+        read_timeout: TIMEOUT,
+        write_timeout: TIMEOUT,
+        ..RetryPolicy::default()
+    }
 }
 
 /// Every request a stand-in server received, and how the connection
@@ -98,13 +120,9 @@ fn assert_damaged_frame_error(err: &ClientError) {
 }
 
 /// The server saw exactly the frames before the damaged one, each as
-/// one chunk of its records, and the connection ended cleanly on a
-/// message boundary.
-fn assert_only_intact_frames_arrived(
-    received: &[Request],
-    outcome: Result<(), WireError>,
-    sequenced: bool,
-) {
+/// one sequenced chunk of its records, and the connection ended cleanly
+/// on a message boundary.
+fn assert_only_intact_frames_arrived(received: &[Request], outcome: Result<(), WireError>) {
     if let Err(e) = outcome {
         panic!("the server saw a bad byte stream: {e}");
     }
@@ -113,14 +131,11 @@ fn assert_only_intact_frames_arrived(
     assert_eq!(received.len(), expected.len(), "requests: {received:?}");
     for (i, (req, want)) in received.iter().zip(expected).enumerate() {
         match req {
-            Request::Chunk { session, records } if !sequenced => {
-                assert_eq!((*session, records.as_slice()), (9, want), "frame {i}");
-            }
             Request::SeqChunk {
                 session,
                 seq,
                 records,
-            } if sequenced => {
+            } => {
                 assert_eq!(
                     (*session, *seq, records.as_slice()),
                     (9, i as u64 + 1, want),
@@ -143,20 +158,14 @@ fn client_stream_stops_at_a_damaged_count_before_sending_it() {
     // Hanging up flushes whatever the client still buffered.
     drop(client);
     let (received, outcome) = server.join().unwrap();
-    assert_only_intact_frames_arrived(&received, outcome, false);
+    assert_only_intact_frames_arrived(&received, outcome);
 }
 
 #[test]
 fn resilient_stream_fails_fast_on_a_damaged_count_without_reconnecting() {
     let store = damaged_store();
     let (addr, server) = recording_server();
-    let policy = RetryPolicy {
-        connect_timeout: TIMEOUT,
-        read_timeout: TIMEOUT,
-        write_timeout: TIMEOUT,
-        ..RetryPolicy::default()
-    };
-    let mut client = ResilientClient::new(addr.to_string(), policy);
+    let mut client = ResilientClient::new(addr.to_string(), policy());
     let mut reader = TraceReader::new(store.as_slice()).unwrap();
     let err = client.stream(9, &mut reader, WINDOW).unwrap_err();
     assert_damaged_frame_error(&err);
@@ -167,5 +176,75 @@ fn resilient_stream_fails_fast_on_a_damaged_count_without_reconnecting() {
     );
     drop(client);
     let (received, outcome) = server.join().unwrap();
-    assert_only_intact_frames_arrived(&received, outcome, true);
+    assert_only_intact_frames_arrived(&received, outcome);
+}
+
+/// A real daemon with one session that has already applied seq 1 — a
+/// chunk of `FRAME + 1` records, so the count differs from the stream's
+/// first frame. Returns the address, the session id, and the server.
+fn session_with_one_chunk() -> (SocketAddr, u32, JoinHandle<std::io::Result<()>>) {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let handle = thread::spawn(move || server.run());
+    let mut client = Client::connect_with(addr, TIMEOUT, TIMEOUT, TIMEOUT).unwrap();
+    let session = client
+        .open(&OpenRequest {
+            system: SystemConfig::small(),
+            prefetch: PrefetchConfig::small(),
+            predictor: Predictor::None,
+            invalidations: None,
+        })
+        .unwrap();
+    client
+        .write_seq_chunk(session, 1, &trace().as_slice()[..FRAME + 1])
+        .unwrap();
+    assert_eq!(client.read_stats().unwrap().accesses_fed, FRAME as u64 + 1);
+    (addr, session, handle)
+}
+
+fn assert_diverged(err: &ClientError) {
+    assert!(
+        matches!(
+            err,
+            ClientError::Diverged { seq: 1, sent, applied: a }
+                if *sent == FRAME as u64 && *a == FRAME as u64 + 1
+        ),
+        "expected Diverged at seq 1, got {err:?}"
+    );
+    assert!(
+        !err.is_transient(),
+        "a diverged session must not be retried"
+    );
+}
+
+fn shut_down(addr: SocketAddr, server: JoinHandle<std::io::Result<()>>) {
+    Client::connect(addr).unwrap().shutdown_server().unwrap();
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn client_stream_into_a_session_with_chunks_fails_instead_of_deduping() {
+    let (addr, session, server) = session_with_one_chunk();
+    let store = intact_store();
+    let mut client = Client::connect_with(addr, TIMEOUT, TIMEOUT, TIMEOUT).unwrap();
+    let mut reader = TraceReader::new(store.as_slice()).unwrap();
+    assert_diverged(&client.stream(session, &mut reader, WINDOW).unwrap_err());
+    drop(client);
+    shut_down(addr, server);
+}
+
+#[test]
+fn resilient_stream_into_a_session_with_chunks_fails_without_reconnecting() {
+    let (addr, session, server) = session_with_one_chunk();
+    let store = intact_store();
+    let mut client = ResilientClient::new(addr.to_string(), policy());
+    let mut reader = TraceReader::new(store.as_slice()).unwrap();
+    assert_diverged(&client.stream(session, &mut reader, WINDOW).unwrap_err());
+    assert_eq!(
+        client.stats(),
+        FaultStats::default(),
+        "no retry of any kind"
+    );
+    drop(client);
+    shut_down(addr, server);
 }

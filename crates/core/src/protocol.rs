@@ -48,8 +48,6 @@ use stems_types::wire::{self, WireError};
 
 /// Message kind: client opens a session.
 pub const KIND_OPEN: u8 = 0x01;
-/// Message kind: client streams a chunk of trace records into a session.
-pub const KIND_CHUNK: u8 = 0x02;
 /// Message kind: client closes a session (server replies with a summary).
 pub const KIND_CLOSE: u8 = 0x03;
 /// Message kind: client asks the server to drain all sessions and exit.
@@ -57,9 +55,10 @@ pub const KIND_SHUTDOWN: u8 = 0x04;
 /// Message kind: client asks for a metrics scrape (and optionally the
 /// buffered event log).
 pub const KIND_METRICS: u8 = 0x05;
-/// Message kind: client streams a *sequenced* chunk — a `Chunk` plus a
-/// monotonic per-session sequence number, the resumable-delivery path
-/// (`docs/FAULT_TOLERANCE.md`).
+/// Message kind: client streams a chunk of trace records into a
+/// session, tagged with a monotonic per-session sequence number so
+/// delivery is resumable (`docs/FAULT_TOLERANCE.md`). Kind `0x02`, the
+/// unsequenced chunk of wire version 1, is retired.
 pub const KIND_SEQ_CHUNK: u8 = 0x06;
 /// Message kind: a reconnecting client re-attaches to a session and
 /// asks where delivery stopped.
@@ -154,20 +153,13 @@ pub struct MetricsReply {
 pub enum Request {
     /// Open a session with the given tenant configuration.
     Open(Box<OpenRequest>),
-    /// Feed a chunk of records into an open session.
-    Chunk {
-        /// Target session id (from [`Response::Opened`]).
-        session: u32,
-        /// The records, in trace order.
-        records: Vec<Access>,
-    },
-    /// Feed a *sequenced* chunk: like [`Request::Chunk`], but tagged
-    /// with a monotonic per-session sequence number so delivery is
-    /// idempotent — a chunk whose `seq` the session has already applied
-    /// is skipped and answered from the journal instead of re-run
-    /// (exactly-once application under retries).
+    /// Feed a chunk of records into an open session, tagged with a
+    /// monotonic per-session sequence number so delivery is idempotent
+    /// — a chunk whose `seq` the session has already applied is skipped
+    /// and answered from the journal instead of re-run (exactly-once
+    /// application under retries).
     SeqChunk {
-        /// Target session id.
+        /// Target session id (from [`Response::Opened`]).
         session: u32,
         /// 1-based position of this chunk in the session's stream. The
         /// server applies `seq == last_seq + 1`, dedupes
@@ -449,45 +441,29 @@ fn read_open(payload: &[u8], pos: &mut usize) -> Result<OpenRequest, WireError> 
     })
 }
 
-/// Appends one complete chunk message: `Chunk` when `seq` is `None`,
-/// `SeqChunk` otherwise. `write_columns` appends the `count` records'
-/// columns in the [`encode_records`] layout. This is the one place the
-/// chunk message layout is written; every chunk encoder goes through
-/// it.
+/// Appends one complete `SeqChunk` message. `write_columns` appends the
+/// `count` records' columns in the [`encode_records`] layout. This is
+/// the one place the chunk message layout is written; every chunk
+/// encoder goes through it.
 fn encode_chunk_message(
     out: &mut Vec<u8>,
     scratch: &mut Vec<u8>,
     session: u32,
-    seq: Option<u64>,
+    seq: u64,
     count: usize,
     write_columns: impl FnOnce(&mut Vec<u8>),
 ) {
     scratch.clear();
     varint::write_u64(scratch, session as u64);
-    if let Some(seq) = seq {
-        varint::write_u64(scratch, seq);
-    }
+    varint::write_u64(scratch, seq);
     varint::write_u64(scratch, count as u64);
     write_columns(scratch);
-    let kind = if seq.is_some() {
-        KIND_SEQ_CHUNK
-    } else {
-        KIND_CHUNK
-    };
-    wire::encode_message(out, kind, scratch);
+    wire::encode_message(out, KIND_SEQ_CHUNK, scratch);
 }
 
-/// Appends one complete `Chunk` wire message for borrowed records —
-/// byte-identical to encoding `Request::Chunk` with the same data, but
-/// without cloning the records into an owned `Vec`.
-pub fn encode_chunk(out: &mut Vec<u8>, scratch: &mut Vec<u8>, session: u32, records: &[Access]) {
-    encode_chunk_message(out, scratch, session, None, records.len(), |cols| {
-        encode_records(records, cols)
-    });
-}
-
-/// Appends one complete `SeqChunk` wire message for borrowed records
-/// (see [`encode_chunk`]).
+/// Appends one complete `SeqChunk` wire message for borrowed records —
+/// byte-identical to encoding `Request::SeqChunk` with the same data,
+/// but without cloning the records into an owned `Vec`.
 pub fn encode_seq_chunk(
     out: &mut Vec<u8>,
     scratch: &mut Vec<u8>,
@@ -495,18 +471,17 @@ pub fn encode_seq_chunk(
     seq: u64,
     records: &[Access],
 ) {
-    encode_chunk_message(out, scratch, session, Some(seq), records.len(), |cols| {
+    encode_chunk_message(out, scratch, session, seq, records.len(), |cols| {
         encode_records(records, cols)
     });
 }
 
-/// Appends one complete chunk message — `Chunk` when `seq` is `None`,
-/// `SeqChunk` otherwise — around `count` records' already-encoded
-/// columns, copied verbatim. This is the streaming clients' hot path:
+/// Appends one complete `SeqChunk` message around `count` records'
+/// already-encoded columns, copied verbatim. This is the streaming clients' hot path:
 /// a trace-store frame's payload is exactly these columns
 /// ([`stems_trace::TraceReader::next_raw_frame`]), so a stored trace
 /// is forwarded without decoding and re-encoding it. The output is
-/// byte-identical to [`encode_chunk`]/[`encode_seq_chunk`] of the
+/// byte-identical to [`encode_seq_chunk`] of the
 /// decoded records; the caller must have validated the columns
 /// ([`stems_trace::store::validate_records`]), or the server rejects
 /// the message.
@@ -514,7 +489,7 @@ pub fn encode_chunk_columns(
     out: &mut Vec<u8>,
     scratch: &mut Vec<u8>,
     session: u32,
-    seq: Option<u64>,
+    seq: u64,
     count: usize,
     columns: &[u8],
 ) {
@@ -530,7 +505,6 @@ impl Request {
     pub fn kind(&self) -> u8 {
         match self {
             Request::Open(_) => KIND_OPEN,
-            Request::Chunk { .. } => KIND_CHUNK,
             Request::SeqChunk { .. } => KIND_SEQ_CHUNK,
             Request::Resume { .. } => KIND_RESUME,
             Request::Close { .. } => KIND_CLOSE,
@@ -547,9 +521,6 @@ impl Request {
         scratch.clear();
         match self {
             Request::Open(o) => write_open(scratch, o),
-            Request::Chunk { session, records } => {
-                return encode_chunk(out, scratch, *session, records)
-            }
             Request::SeqChunk {
                 session,
                 seq,
@@ -571,17 +542,6 @@ impl Request {
         let mut pos = 0usize;
         let req = match kind {
             KIND_OPEN => Request::Open(Box::new(read_open(payload, &mut pos)?)),
-            KIND_CHUNK => {
-                let session = read_u32(payload, &mut pos, "truncated chunk header")?;
-                let count = read_u32(payload, &mut pos, "truncated chunk header")?;
-                if count as usize > MAX_FRAME_RECORDS {
-                    return Err(WireError::Corrupt("chunk record count out of range"));
-                }
-                let mut records = Vec::new();
-                decode_records(&payload[pos..], count as usize, &mut records)
-                    .map_err(WireError::Corrupt)?;
-                return Ok(Request::Chunk { session, records });
-            }
             KIND_SEQ_CHUNK => {
                 let session = read_u32(payload, &mut pos, "truncated seq chunk header")?;
                 let seq = read_u64(payload, &mut pos, "truncated seq chunk header")?;
@@ -935,20 +895,15 @@ mod tests {
             .collect();
         for req in [
             Request::Open(Box::new(sample_open())),
-            Request::Chunk {
-                session: 7,
-                records,
-            },
-            Request::Chunk {
-                session: 0,
-                records: Vec::new(),
-            },
             Request::SeqChunk {
                 session: 7,
                 seq: 1,
-                records: (0..50)
-                    .map(|i| Access::read(Pc::new(0x800 + i * 4), Addr::new(i * 64)))
-                    .collect(),
+                records,
+            },
+            Request::SeqChunk {
+                session: 0,
+                seq: 1,
+                records: Vec::new(),
             },
             Request::SeqChunk {
                 session: 1,
@@ -1055,6 +1010,11 @@ mod tests {
             Request::decode(0x77, &[]),
             Err(WireError::UnknownKind { kind: 0x77 })
         ));
+        // Wire version 1's unsequenced chunk: session 7, no records.
+        assert!(matches!(
+            Request::decode(0x02, &[7, 0]),
+            Err(WireError::UnknownKind { kind: 0x02 })
+        ));
         assert!(matches!(
             Response::decode(0x77, &[]),
             Err(WireError::UnknownKind { kind: 0x77 })
@@ -1132,30 +1092,19 @@ mod tests {
             .collect();
         let mut out = Vec::new();
         let mut scratch = Vec::new();
-        Request::Chunk {
-            session: 1,
-            records,
-        }
-        .encode(&mut out, &mut scratch);
+        encode_seq_chunk(&mut out, &mut scratch, 1, 1, &records);
         let (_, payload, _) = wire::decode_message(&out).unwrap();
         // Bump the count without extending the columns: typed corrupt.
         let mut bad = Vec::new();
         varint::write_u64(&mut bad, 1); // session
+        varint::write_u64(&mut bad, 1); // seq
         varint::write_u64(&mut bad, 11); // count, one too many
         let mut pos = 0;
-        let s = varint::read_u64(payload).unwrap().1;
-        pos += s;
-        pos += varint::read_u64(&payload[pos..]).unwrap().1;
+        for _ in 0..3 {
+            pos += varint::read_u64(&payload[pos..]).unwrap().1;
+        }
         bad.extend_from_slice(&payload[pos..]);
-        assert!(Request::decode(KIND_CHUNK, &bad).is_err());
-        // A count past MAX_FRAME_RECORDS is rejected before decoding.
-        let mut huge = Vec::new();
-        varint::write_u64(&mut huge, 1);
-        varint::write_u64(&mut huge, (MAX_FRAME_RECORDS + 1) as u64);
-        assert!(matches!(
-            Request::decode(KIND_CHUNK, &huge),
-            Err(WireError::Corrupt("chunk record count out of range"))
-        ));
+        assert!(Request::decode(KIND_SEQ_CHUNK, &bad).is_err());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! tracegen metrics --remote 127.0.0.1:4909 [--events]
 //! ```
 //!
-//! `capture` writes the chunked store format (`docs/TRACE_FORMAT.md`);
-//! `info` auto-detects a legacy `STEMSTR1` blob and reads that too.
+//! `capture` writes the chunked store format (`docs/TRACE_FORMAT.md`),
+//! which `info` summarizes.
 //! `verify` is the round-trip oracle used by CI: every predictor's
 //! counters from streaming replay must equal the in-memory run's.
 //! `verify --repair` first truncates a damaged store to its last valid
@@ -22,17 +22,16 @@
 //! of the workload, so full verification still reports the shortfall.
 //! `replay --remote` streams the store to a running `stems-serve`
 //! daemon instead, using the identical session configuration, so its
-//! counters line up with the local replay row for row-by-row diffing.
-//! `--retry` swaps in the resilient client (`docs/FAULT_TOLERANCE.md`):
-//! transient faults heal via backoff + resume, and a trailing
-//! `fault-stats:` line reports what was healed (`--retry-seed` pins the
-//! jitter schedule for reproducible chaos runs).
+//! last line — the counters row — lines up with the local replay's for
+//! row-by-row diffing. A `fault-stats:` line before it reports what the
+//! client healed (`docs/FAULT_TOLERANCE.md`). Without `--retry` the
+//! first fault fails the replay; with it, transient faults heal via
+//! backoff + resume (`--retry-seed` pins the jitter schedule for
+//! reproducible chaos runs).
 //! `metrics --remote` scrapes a live daemon's observability registry
 //! (`docs/OBSERVABILITY.md`) and prints the text exposition; `--events`
 //! also drains the daemon's event ring as JSON-lines.
 
-use std::fs::File;
-use std::io::{BufReader, Read};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -42,7 +41,7 @@ use stems_harness::runner::{
 };
 use stems_harness::{parallel_map, Settings};
 use stems_trace::store::SyncPolicy;
-use stems_trace::{read_trace, TraceReader, TraceStats};
+use stems_trace::{TraceReader, TraceStats};
 use stems_workloads::{capture_to_path, trace_file_name, Workload};
 
 fn workload_by_name(name: &str) -> Option<Workload> {
@@ -146,33 +145,6 @@ fn capture_all(args: &[String]) -> ExitCode {
 }
 
 fn info(path: &str) -> ExitCode {
-    // Auto-detect: chunked store vs legacy blob by magic.
-    let mut magic = [0u8; 8];
-    match File::open(path) {
-        Ok(mut f) => {
-            if f.read(&mut magic).unwrap_or(0) < 8 {
-                eprintln!("{path}: too short to be a trace");
-                return ExitCode::FAILURE;
-            }
-        }
-        Err(e) => {
-            eprintln!("cannot open {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if &magic == b"STEMSTR1" {
-        let file = File::open(path).expect("reopen just-opened file");
-        return match read_trace(BufReader::new(file)) {
-            Ok(trace) => {
-                println!("{path} (legacy blob): {}", trace.stats());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("not a valid trace: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     match TraceReader::open(path) {
         Ok(mut reader) => match TraceStats::from_reader(&mut reader) {
             Ok(stats) => {
@@ -218,11 +190,16 @@ fn replay(args: &[String]) -> ExitCode {
         let window: usize = arg_after("--window")
             .and_then(|w| w.parse().ok())
             .unwrap_or(4);
-        if args.iter().any(|a| a == "--retry") {
-            let seed = arg_after("--retry-seed").and_then(|s| s.parse().ok());
-            return resilient_replay(path, workload, predictor, &sys, addr, window, seed);
-        }
-        return remote_replay(path, workload, predictor, &sys, addr, window);
+        let policy = if args.iter().any(|a| a == "--retry") {
+            let mut policy = stems_client::RetryPolicy::default();
+            if let Some(seed) = arg_after("--retry-seed").and_then(|s| s.parse().ok()) {
+                policy.jitter_seed = seed;
+            }
+            policy
+        } else {
+            stems_client::RetryPolicy::none()
+        };
+        return remote_replay(path, workload, predictor, &sys, addr, window, policy);
     }
     match replay_coverage(workload, predictor, path, &sys) {
         Ok((counters, fed)) => {
@@ -240,7 +217,10 @@ fn replay(args: &[String]) -> ExitCode {
 /// Streams the store to a `stems-serve` daemon with the same workload
 /// session configuration the local path uses (see
 /// `runner::remote_open_request`), so the printed counters line up with
-/// `tracegen replay` and `tracegen verify` for the same file.
+/// `tracegen replay` and `tracegen verify` for the same file. The
+/// `fault-stats:` line lets chaos harnesses reconcile the client's
+/// healing against a fault proxy's injection log; under
+/// `RetryPolicy::none()` it is all zeros.
 fn remote_replay(
     path: &str,
     workload: Workload,
@@ -248,6 +228,7 @@ fn remote_replay(
     sys: &stems_memsim::SystemConfig,
     addr: &str,
     window: usize,
+    policy: stems_client::RetryPolicy,
 ) -> ExitCode {
     let open = remote_open_request(workload, predictor, sys);
     let mut reader = match TraceReader::open(path) {
@@ -257,53 +238,6 @@ fn remote_replay(
             return ExitCode::FAILURE;
         }
     };
-    let mut run = || -> Result<_, stems_client::ClientError> {
-        let mut client = stems_client::Client::connect(addr)?;
-        let session = client.open(&open)?;
-        let (fed, _) = client.stream(session, &mut reader, window)?;
-        let summary = client.close(session)?;
-        Ok((fed, summary))
-    };
-    match run() {
-        Ok((fed, summary)) => {
-            println!("{path}: streamed {fed} accesses to {addr} through {predictor}");
-            counters_row(predictor.name(), &summary.counters);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("remote replay failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Like [`remote_replay`], but through [`stems_client::ResilientClient`]:
-/// transient faults (torn connections, corrupt frames, `Busy`
-/// shedding) heal via backoff + resume instead of failing the replay.
-/// Prints one `fault-stats:` line so chaos harnesses can reconcile the
-/// client's healing against a fault proxy's injection log.
-#[allow(clippy::too_many_arguments)]
-fn resilient_replay(
-    path: &str,
-    workload: Workload,
-    predictor: Predictor,
-    sys: &stems_memsim::SystemConfig,
-    addr: &str,
-    window: usize,
-    seed: Option<u64>,
-) -> ExitCode {
-    let open = remote_open_request(workload, predictor, sys);
-    let mut reader = match TraceReader::open(path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot open {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut policy = stems_client::RetryPolicy::default();
-    if let Some(seed) = seed {
-        policy.jitter_seed = seed;
-    }
     let mut client = stems_client::ResilientClient::new(addr, policy);
     let result = (|| -> Result<_, stems_client::ClientError> {
         let session = client.open(&open)?;
@@ -314,8 +248,7 @@ fn resilient_replay(
     match result {
         Ok((fed, summary)) => {
             let stats = client.stats();
-            println!("{path}: streamed {fed} accesses to {addr} through {predictor} (resilient)");
-            counters_row(predictor.name(), &summary.counters);
+            println!("{path}: streamed {fed} accesses to {addr} through {predictor}");
             println!(
                 "fault-stats: reconnects={} resumes={} busy_retries={} \
                  chunks_resent={} chunks_deduped={}",
@@ -325,6 +258,7 @@ fn resilient_replay(
                 stats.chunks_resent,
                 stats.chunks_deduped
             );
+            counters_row(predictor.name(), &summary.counters);
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -183,6 +183,7 @@ fn interleaved_tenant_sessions_stay_isolated() {
         .map(|_| TraceReader::new(bytes.as_slice()).expect("reader"))
         .collect();
     let mut done = vec![false; ids.len()];
+    let mut seqs = vec![0u64; ids.len()];
     while !done.iter().all(|d| *d) {
         for (i, reader) in readers.iter_mut().enumerate() {
             if done[i] {
@@ -191,7 +192,11 @@ fn interleaved_tenant_sessions_stay_isolated() {
             match reader.next_chunk().expect("chunk") {
                 Some(chunk) => {
                     let chunk = chunk.to_vec();
-                    client.send_chunk(ids[i], &chunk).expect("send_chunk");
+                    seqs[i] += 1;
+                    client
+                        .write_seq_chunk(ids[i], seqs[i], &chunk)
+                        .expect("write_seq_chunk");
+                    client.read_stats().expect("read_stats");
                 }
                 None => done[i] = true,
             }

@@ -170,7 +170,10 @@ fn per_tenant_rows_stay_separate_and_process_totals_sum() {
     let (fed_full, _) = client.stream(full, &mut reader, 4).expect("stream");
     let partial = client.open(&open_request(Predictor::Tms)).expect("open");
     let first: Vec<_> = trace.as_slice()[..FRAME.min(trace.len())].to_vec();
-    client.send_chunk(partial, &first).expect("send_chunk");
+    client
+        .write_seq_chunk(partial, 1, &first)
+        .expect("write_seq_chunk");
+    client.read_stats().expect("read_stats");
 
     let scrape = client.metrics(false).expect("scrape");
     let full_row =

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use stems_client::Client;
-use stems_core::protocol::{encode_chunk, encode_chunk_columns, encode_seq_chunk};
+use stems_core::protocol::{encode_chunk_columns, encode_seq_chunk};
 use stems_core::protocol::{OpenRequest, Request, Response};
 use stems_core::{Predictor, PrefetchConfig, Session};
 use stems_memsim::SystemConfig;
@@ -42,50 +42,150 @@ fn open_request(predictor: Predictor) -> OpenRequest {
 }
 
 /// Pins the worked example in `docs/WIRE_PROTOCOL.md` byte for byte: a
-/// `Chunk` feeding session 7 two reads, whose inner 10 payload bytes
-/// are the trace store spec's frame payload for the same records.
+/// `SeqChunk` feeding session 7 its first chunk of two reads, whose
+/// inner 10 payload bytes are the trace store spec's frame payload for
+/// the same records.
 #[test]
 fn chunk_worked_example_is_byte_exact() {
+    const CRC: u32 = 0xD257_4480;
     let records = [
         access(0x400, 0x1000, false, false, 0),
         access(0x404, 0x1040, false, false, 0),
     ];
     let mut out = Vec::new();
     let mut scratch = Vec::new();
-    encode_chunk(&mut out, &mut scratch, 7, &records);
-    let expected: &[u8] = &[
-        0x02, // kind = Chunk
-        0x0c, 0x00, 0x00, 0x00, // payload_len = 12
+    encode_seq_chunk(&mut out, &mut scratch, 7, 1, &records);
+    let body: &[u8] = &[
+        0x06, // kind = SeqChunk
+        0x0d, 0x00, 0x00, 0x00, // payload_len = 13
         0x07, // session = 7
+        0x01, // seq = 1
         0x02, // count = 2
         0x80, 0x10, 0x08, // pc deltas
         0x80, 0x40, 0x80, 0x01, // addr deltas
         0x00, // flags: two reads, independent
         0x00, 0x00, // work: 0, 0
-        0x50, 0x85, 0x31, 0x81, // CRC-32 (0x81318550) over the 17 bytes above
     ];
+    let crc = stems_types::crc::crc32(body);
+    assert_eq!(crc, CRC, "the documented CRC-32 over the 18 bytes");
+    let expected = [body, &crc.to_le_bytes()].concat();
     assert_eq!(
         out, expected,
         "docs/WIRE_PROTOCOL.md worked example drifted"
     );
     // Forwarding the store frame's columns verbatim gives the same bytes.
     let mut forwarded = Vec::new();
-    encode_chunk_columns(&mut forwarded, &mut scratch, 7, None, 2, &expected[7..17]);
+    encode_chunk_columns(&mut forwarded, &mut scratch, 7, 1, 2, &body[8..18]);
     assert_eq!(forwarded, expected);
 
     // And it decodes back to the same request.
     let (kind, payload, n) = stems_types::wire::decode_message(&out).unwrap();
     assert_eq!(n, out.len());
     match Request::decode(kind, payload).unwrap() {
-        Request::Chunk {
+        Request::SeqChunk {
             session,
+            seq,
             records: decoded,
         } => {
-            assert_eq!(session, 7);
+            assert_eq!((session, seq), (7, 1));
             assert_eq!(decoded, records);
         }
-        other => panic!("expected Chunk, decoded {other:?}"),
+        other => panic!("expected SeqChunk, decoded {other:?}"),
     }
+}
+
+/// A daemon on an ephemeral port, one client connection to it, and a
+/// session opened on that connection.
+fn server_with_session() -> (
+    std::net::SocketAddr,
+    std::thread::JoinHandle<std::io::Result<()>>,
+    Client,
+    u32,
+) {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run());
+    let mut client = Client::connect(addr).unwrap();
+    let session = client.open(&open_request(Predictor::None)).unwrap();
+    (addr, handle, client, session)
+}
+
+fn scraped(client: &mut Client, name: &str) -> u64 {
+    let exposition = client.metrics(false).unwrap().exposition;
+    exposition
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{name} missing from the scrape"))
+}
+
+/// Wire version 1 is retired: the daemon drops a version-1 hello
+/// without answering it and counts the failed hello.
+#[test]
+fn version_1_hello_is_refused() {
+    use std::io::{Read, Write};
+    let (addr, handle, mut client, _) = server_with_session();
+    let mut hello = Vec::new();
+    stems_types::wire::encode_hello(&mut hello);
+    hello[8..10].copy_from_slice(&1u16.to_le_bytes());
+    let mut v1 = std::net::TcpStream::connect(addr).unwrap();
+    v1.write_all(&hello).unwrap();
+    let mut reply = Vec::new();
+    v1.read_to_end(&mut reply).unwrap();
+    assert!(reply.is_empty(), "a v1 hello was answered: {reply:?}");
+    assert_eq!(scraped(&mut client, "stems_hello_failures_total"), 1);
+    client.shutdown_server().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// A correctly framed message of the retired unsequenced chunk kind
+/// (0x02) is a framing error: the daemon answers with a typed `Error`,
+/// closes the connection, and leaves the addressed session untouched.
+#[test]
+fn retired_chunk_kind_is_a_framing_error_that_touches_no_session() {
+    let (addr, handle, mut client, session) = server_with_session();
+    // Wire version 1's `Chunk` layout: session, count, columns.
+    let mut payload = Vec::new();
+    stems_types::varint::write_u64(&mut payload, session as u64);
+    stems_types::varint::write_u64(&mut payload, 1);
+    stems_trace::store::encode_records(&[access(0x400, 0x1000, false, false, 0)], &mut payload);
+    let mut message = Vec::new();
+    stems_types::wire::encode_message(&mut message, 0x02, &payload);
+
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    stems_types::wire::write_hello(&mut writer).unwrap();
+    std::io::Write::write_all(&mut writer, &message).unwrap();
+    stems_types::wire::read_hello(&mut reader).unwrap();
+    let mut buf = Vec::new();
+    match Response::read_from(&mut reader, &mut buf).unwrap() {
+        Some(Response::Error {
+            session: None,
+            message,
+        }) => {
+            assert!(
+                message.starts_with(stems_core::protocol::FRAMING_ERROR_PREFIX)
+                    && message.contains("0x02"),
+                "{message}"
+            );
+        }
+        other => panic!("expected a framing Error, got {other:?}"),
+    }
+    assert!(
+        Response::read_from(&mut reader, &mut buf)
+            .unwrap()
+            .is_none(),
+        "the connection stays open after a framing error"
+    );
+
+    assert_eq!(scraped(&mut client, "stems_chunks_total"), 0);
+    let summary = client.close(session).unwrap();
+    assert_eq!(
+        summary.accesses_fed, 0,
+        "the retired chunk reached the session"
+    );
+    client.shutdown_server().unwrap();
+    handle.join().unwrap().unwrap();
 }
 
 proptest! {
@@ -124,8 +224,9 @@ proptest! {
         let handle = std::thread::spawn(move || server.run());
         let mut client = Client::connect(addr).unwrap();
         let session = client.open(&open).unwrap();
-        for piece in trace.as_slice().chunks(chunk) {
-            let stats = client.send_chunk(session, piece).unwrap();
+        for (seq, piece) in (1..).zip(trace.as_slice().chunks(chunk)) {
+            client.write_seq_chunk(session, seq, piece).unwrap();
+            let stats = client.read_stats().unwrap();
             prop_assert_eq!(stats.session, session);
         }
         let summary = client.close(session).unwrap();
@@ -137,8 +238,8 @@ proptest! {
     }
 
     /// Forwarding a `TraceWriter` store's frames verbatim yields, byte
-    /// for byte, the `Chunk` and `SeqChunk` messages that encoding the
-    /// decoded records yields: the streaming clients' raw path cannot
+    /// for byte, the `SeqChunk` messages that encoding the decoded
+    /// records yields: the streaming clients' raw path cannot
     /// drift from the record encoders.
     #[test]
     fn raw_forwarded_chunks_match_the_record_encoders(
@@ -168,13 +269,8 @@ proptest! {
             let (count, columns) = raw.next_raw_frame().unwrap().unwrap();
             expected.clear();
             forwarded.clear();
-            encode_chunk(&mut expected, &mut scratch, session, chunk);
-            encode_chunk_columns(&mut forwarded, &mut scratch, session, None, count, columns);
-            prop_assert_eq!(&forwarded, &expected);
-            expected.clear();
-            forwarded.clear();
             encode_seq_chunk(&mut expected, &mut scratch, session, seq, chunk);
-            encode_chunk_columns(&mut forwarded, &mut scratch, session, Some(seq), count, columns);
+            encode_chunk_columns(&mut forwarded, &mut scratch, session, seq, count, columns);
             prop_assert_eq!(&forwarded, &expected);
             seq = seq.wrapping_add(1);
         }

@@ -1,12 +1,7 @@
 //! The persistent trace store: an append-only, chunked on-disk format
 //! with streaming replay.
 //!
-//! The legacy codec in [`crate::io`] writes a global record count up
-//! front and a fixed 24-byte record — fine for small fixtures, but it
-//! cannot be appended to (the count is already written) and it cannot
-//! be replayed without materializing the whole trace. This module is
-//! the scale path: traces are written as a sequence of self-contained
-//! *frames*, each carrying its own record count, a delta/varint-encoded
+//! Traces are written as a sequence of self-contained *frames*, each carrying its own record count, a delta/varint-encoded
 //! columnar payload, and a CRC-32 checksum, so a [`TraceWriter`] only
 //! ever appends and a [`TraceReader`] streams the file back one frame
 //! at a time — memory stays O(frame) no matter how many billions of
@@ -52,9 +47,11 @@ use stems_types::{Addr, Pc};
 
 use crate::{Access, AccessKind, Dependence, Trace};
 
-/// Store file magic: `STEMSTRC` ("STeMS trace, chunked"). The legacy
-/// single-blob codec uses `STEMSTR1` (see [`crate::io`]).
+/// Store file magic: `STEMSTRC` ("STeMS trace, chunked").
 pub const STORE_MAGIC: &[u8; 8] = b"STEMSTRC";
+/// Magic of the retired single-blob format, named in its `BadMagic`
+/// message.
+const RETIRED_BLOB_MAGIC: [u8; 8] = *b"STEMSTR1";
 /// Current format version. Readers reject any other value.
 pub const STORE_VERSION: u16 = 1;
 /// Hard cap on records per frame; [`TraceWriter`] clamps its frame
@@ -84,8 +81,8 @@ pub enum TraceStoreError {
     /// Underlying I/O failure.
     Io(io::Error),
     /// The file does not start with [`STORE_MAGIC`]. The found bytes
-    /// are reported; a legacy [`crate::io`] blob is called out
-    /// explicitly.
+    /// are reported; a blob in the retired `STEMSTR1` format is called
+    /// out explicitly.
     BadMagic {
         /// The eight bytes actually found.
         found: [u8; 8],
@@ -130,11 +127,13 @@ impl std::fmt::Display for TraceStoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceStoreError::Io(e) => write!(f, "trace store i/o error: {e}"),
-            TraceStoreError::BadMagic { found } if found == crate::io::MAGIC => {
+            TraceStoreError::BadMagic {
+                found: RETIRED_BLOB_MAGIC,
+            } => {
                 write!(
                     f,
-                    "legacy STEMSTR1 trace blob, not a chunked store \
-                     (read it with stems_trace::read_trace)"
+                    "STEMSTR1 trace blob, not a chunked store: that format is \
+                     retired; recapture the trace with `tracegen capture`"
                 )
             }
             TraceStoreError::BadMagic { found } => {

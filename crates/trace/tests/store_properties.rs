@@ -312,15 +312,18 @@ fn bad_magic_is_reported_with_found_bytes() {
 
 #[test]
 fn legacy_blob_magic_gets_a_pointed_message() {
-    // A legacy `write_trace` blob starts with STEMSTR1; the store reader
-    // must name it rather than reporting generic bad magic.
-    let mut legacy = Vec::new();
-    stems_trace::write_trace(&mut legacy, &Trace::new()).unwrap();
+    // A blob in the retired single-blob format starts with STEMSTR1; the
+    // store reader must name it rather than reporting generic bad magic.
+    let mut legacy = b"STEMSTR1".to_vec();
+    legacy.resize(HEADER_BYTES, 0);
     let err = read_all(&legacy).unwrap_err();
     assert!(matches!(err, TraceStoreError::BadMagic { .. }));
+    let message = err.to_string();
     assert!(
-        err.to_string().contains("legacy"),
-        "message should steer to read_trace: {err}"
+        message.contains("STEMSTR1")
+            && message.contains("retired")
+            && message.contains("tracegen capture"),
+        "message should say the format is retired and how to recapture: {message}"
     );
 }
 

@@ -182,12 +182,15 @@ fn bad_hello_fields_are_typed_errors() {
         Err(WireError::BadMagic { got }) if &got == b"STEMSTR1"
     ));
 
-    let mut bad = ok.clone();
-    bad[8..10].copy_from_slice(&2u16.to_le_bytes());
-    assert!(matches!(
-        read_all(&bad),
-        Err(WireError::UnsupportedVersion { got: 2 })
-    ));
+    // The retired version 1 and the next, not yet defined, version.
+    for version in [1, wire::WIRE_VERSION + 1] {
+        let mut bad = ok.clone();
+        bad[8..10].copy_from_slice(&version.to_le_bytes());
+        assert!(matches!(
+            read_all(&bad),
+            Err(WireError::UnsupportedVersion { got }) if got == version
+        ));
+    }
 
     let mut bad = ok.clone();
     bad[10..12].copy_from_slice(&0x8000u16.to_le_bytes());

@@ -1,30 +1,39 @@
-//! Cross-crate pipeline tests: generators -> trace I/O -> simulator ->
+//! Cross-crate pipeline tests: generators -> trace store -> simulator ->
 //! analyses, exercised together.
 
 use stems::analysis::{classify, filter_trace, Sequitur};
 use stems::core::engine::{CoverageSim, NullPrefetcher};
 use stems::core::{PrefetchConfig, StemsPrefetcher};
 use stems::memsim::SystemConfig;
-use stems::trace::{read_trace, write_trace};
+use stems::trace::{Trace, TraceReader, TraceWriter};
 use stems::workloads::Workload;
+
+/// Writes `trace` to an in-memory store and reads it back.
+fn store_round_trip(trace: &Trace) -> Trace {
+    let mut buf = Vec::new();
+    let mut writer = TraceWriter::new(&mut buf).expect("header");
+    writer.write_accesses(trace.as_slice()).expect("write");
+    writer.finish().expect("finish");
+    drop(writer);
+    TraceReader::new(buf.as_slice())
+        .expect("header")
+        .read_to_trace()
+        .expect("read")
+}
 
 #[test]
 fn traces_round_trip_through_binary_io() {
     for w in Workload::all() {
         let trace = w.generate_scaled(0.004, 11);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).expect("write");
-        let back = read_trace(buf.as_slice()).expect("read");
-        assert_eq!(back, trace, "{w}: binary round trip changed the trace");
+        let back = store_round_trip(&trace);
+        assert_eq!(back, trace, "{w}: store round trip changed the trace");
     }
 }
 
 #[test]
 fn replaying_a_stored_trace_reproduces_counters() {
     let trace = Workload::Qry16.generate_scaled(0.01, 5);
-    let mut buf = Vec::new();
-    write_trace(&mut buf, &trace).unwrap();
-    let reloaded = read_trace(buf.as_slice()).unwrap();
+    let reloaded = store_round_trip(&trace);
     let sys = SystemConfig::small();
     let cfg = PrefetchConfig::small();
     let a = CoverageSim::new(&sys, &cfg, StemsPrefetcher::new(&cfg)).run(&trace);

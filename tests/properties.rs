@@ -7,8 +7,8 @@ use stems::core::engine::{CoverageSim, NullPrefetcher};
 use stems::core::util::{LruTable, OrderBuffer};
 use stems::core::PrefetchConfig;
 use stems::memsim::{Cache, CacheConfig, SystemConfig};
-use stems::trace::{read_trace, write_trace, Access, AccessKind, Dependence, Trace};
-use stems::types::{Addr, BlockAddr, BlockOffset, Delta, Pc, SpatialSequence};
+use stems::trace::Trace;
+use stems::types::{BlockAddr, BlockOffset, Delta, SpatialSequence};
 
 proptest! {
     /// Sequitur always reproduces its input and keeps digrams unique.
@@ -17,29 +17,6 @@ proptest! {
         let g = Sequitur::build(input.iter().copied());
         prop_assert_eq!(g.expand_root(), input);
         prop_assert!(g.digrams_are_unique());
-    }
-
-    /// The binary trace codec is lossless.
-    #[test]
-    fn trace_io_round_trips(
-        records in proptest::collection::vec(
-            (any::<u64>(), any::<u64>(), any::<bool>(), any::<bool>(), any::<u16>()),
-            0..200,
-        )
-    ) {
-        let trace: Trace = records
-            .iter()
-            .map(|&(pc, addr, write, dep, work)| Access {
-                pc: Pc::new(pc),
-                addr: Addr::new(addr),
-                kind: if write { AccessKind::Write } else { AccessKind::Read },
-                dep: if dep { Dependence::OnPrevAccess } else { Dependence::Independent },
-                work_before: work,
-            })
-            .collect();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).unwrap();
-        prop_assert_eq!(read_trace(buf.as_slice()).unwrap(), trace);
     }
 
     /// A cache never exceeds capacity, and a just-accessed block is
