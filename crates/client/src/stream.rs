@@ -129,28 +129,20 @@ pub(crate) fn stream<R: Read>(
         failures: 0,
         spare: Vec::new(),
     };
-    let mut scratch = Vec::new();
     let (mut next_seq, mut fed, mut exhausted) = (1u64, 0u64, false);
     loop {
         // Fill the window, wrapping each store frame's verified columns
         // once; a frame that fails its checks ends the stream before
         // any byte of it is sent.
         while !exhausted && w.pending.len() < capacity {
-            let Some((count, columns)) = reader.next_raw_frame()? else {
+            let Some(raw) = reader.next_raw_frame()? else {
                 exhausted = true;
                 break;
             };
             let mut frame = std::mem::take(&mut w.spare);
             frame.clear();
-            protocol::encode_chunk_columns(
-                &mut frame,
-                &mut scratch,
-                session,
-                next_seq,
-                count,
-                columns,
-            );
-            fed += count as u64;
+            protocol::encode_raw_frame(&mut frame, session, next_seq, &raw);
+            fed += raw.count as u64;
             let sent = link.conn().and_then(|c| c.write_frame_bytes(&frame));
             w.pending.push_back(Pending {
                 seq: next_seq,

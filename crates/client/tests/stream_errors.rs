@@ -13,6 +13,8 @@
 //!   its chunks from 1, so the server dedupes its first chunks as
 //!   retransmits; the stream must fail with `ClientError::Diverged`
 //!   instead of returning a record count the session never applied.
+//! * A peer that speaks another wire version. Its hello must fail the
+//!   connect with the typed version error, which no reconnect retries.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener};
@@ -247,4 +249,50 @@ fn resilient_stream_into_a_session_with_chunks_fails_without_reconnecting() {
     );
     drop(client);
     shut_down(addr, server);
+}
+
+/// A peer on another wire version answers the hello with its own, as
+/// `stems-serve` does. The client must fail at once with the typed,
+/// non-transient version error, not back off and reconnect as it would
+/// after a torn connection.
+#[test]
+fn resilient_client_fails_fast_on_a_wire_version_mismatch() {
+    use std::io::{Read, Write};
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+        let mut theirs = [0u8; wire::HELLO_BYTES];
+        stream.read_exact(&mut theirs).unwrap();
+        let mut ours = Vec::new();
+        wire::encode_hello(&mut ours);
+        ours[8..10].copy_from_slice(&3u16.to_le_bytes());
+        stream.write_all(&ours).unwrap();
+        // Hold the connection open until the client hangs up.
+        let _ = stream.read_to_end(&mut Vec::new());
+    });
+    let mut client = ResilientClient::new(addr.to_string(), RetryPolicy::default());
+    let err = client
+        .open(&OpenRequest {
+            system: SystemConfig::small(),
+            prefetch: PrefetchConfig::small(),
+            predictor: Predictor::None,
+            invalidations: None,
+        })
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ClientError::Wire(WireError::UnsupportedVersion { got: 3 })
+        ),
+        "expected UnsupportedVersion(3), got {err:?}"
+    );
+    assert!(
+        !err.is_transient(),
+        "a version mismatch must not be retried"
+    );
+    assert_eq!(client.stats(), FaultStats::default(), "no reconnects");
+    drop(client);
+    server.join().unwrap();
 }

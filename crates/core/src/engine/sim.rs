@@ -352,6 +352,11 @@ impl<P: Prefetcher> CoverageSim<P> {
     /// `accesses`/`reads`, invalidation injection, and the
     /// block/L1-set-base decode (`l1_base` must equal
     /// `hierarchy.l1_set_base(block)`) happen in the callers.
+    ///
+    /// Always inlined into its three callers: in [`CoverageSim::run_chunk`]
+    /// the visitor ignores the outcome, so once inlined the returned
+    /// [`StepOutcome`] is dead and never built.
+    #[inline(always)]
     fn step_core(
         &mut self,
         access: &Access,
@@ -441,7 +446,7 @@ impl<P: Prefetcher> CoverageSim<P> {
 
         for i in 0..self.scratch.l1_evicted.len() {
             let b = self.scratch.l1_evicted[i];
-            if self.l1_prefetched_unused.remove(&b) {
+            if !self.l1_prefetched_unused.is_empty() && self.l1_prefetched_unused.remove(&b) {
                 self.counters.overpredictions += 1;
             }
             self.prefetcher.on_l1_evict(b, EvictKind::Replacement);

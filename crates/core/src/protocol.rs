@@ -42,7 +42,8 @@ use crate::stems::recon::ReconStats;
 use std::io::{Read, Write};
 use stems_memsim::{CacheConfig, SystemConfig};
 use stems_trace::store::{decode_records, encode_records, MAX_FRAME_RECORDS};
-use stems_trace::Access;
+use stems_trace::{Access, RawFrame};
+use stems_types::crc::crc32;
 use stems_types::varint;
 use stems_types::wire::{self, WireError};
 
@@ -441,29 +442,33 @@ fn read_open(payload: &[u8], pos: &mut usize) -> Result<OpenRequest, WireError> 
     })
 }
 
-/// Appends one complete `SeqChunk` message. `write_columns` appends the
-/// `count` records' columns in the [`encode_records`] layout. This is
-/// the one place the chunk message layout is written; every chunk
-/// encoder goes through it.
+/// Appends one complete `SeqChunk` message around `count` records'
+/// already-encoded columns (the [`encode_records`] layout), whose CRC-32
+/// is `columns_crc`. This is the one place the chunk message layout is
+/// written; every chunk encoder goes through it. The header is written
+/// straight into `out` and the columns are copied once, and the message
+/// CRC extends the header's over the columns by combining, so the
+/// columns are never read twice.
 fn encode_chunk_message(
     out: &mut Vec<u8>,
-    scratch: &mut Vec<u8>,
     session: u32,
     seq: u64,
     count: usize,
-    write_columns: impl FnOnce(&mut Vec<u8>),
+    columns: &[u8],
+    columns_crc: u32,
 ) {
-    scratch.clear();
-    varint::write_u64(scratch, session as u64);
-    varint::write_u64(scratch, seq);
-    varint::write_u64(scratch, count as u64);
-    write_columns(scratch);
-    wire::encode_message(out, KIND_SEQ_CHUNK, scratch);
+    let head = |out: &mut Vec<u8>| {
+        varint::write_u64(out, session as u64);
+        varint::write_u64(out, seq);
+        varint::write_u64(out, count as u64);
+    };
+    wire::encode_message_with_tail(out, KIND_SEQ_CHUNK, head, columns, columns_crc);
 }
 
 /// Appends one complete `SeqChunk` wire message for borrowed records —
 /// byte-identical to encoding `Request::SeqChunk` with the same data,
-/// but without cloning the records into an owned `Vec`.
+/// but without cloning the records into an owned `Vec`. `scratch` holds
+/// the encoded columns between calls.
 pub fn encode_seq_chunk(
     out: &mut Vec<u8>,
     scratch: &mut Vec<u8>,
@@ -471,31 +476,40 @@ pub fn encode_seq_chunk(
     seq: u64,
     records: &[Access],
 ) {
-    encode_chunk_message(out, scratch, session, seq, records.len(), |cols| {
-        encode_records(records, cols)
-    });
+    scratch.clear();
+    encode_records(records, scratch);
+    encode_chunk_message(out, session, seq, records.len(), scratch, crc32(scratch));
 }
 
 /// Appends one complete `SeqChunk` message around `count` records'
-/// already-encoded columns, copied verbatim. This is the streaming clients' hot path:
-/// a trace-store frame's payload is exactly these columns
-/// ([`stems_trace::TraceReader::next_raw_frame`]), so a stored trace
-/// is forwarded without decoding and re-encoding it. The output is
-/// byte-identical to [`encode_seq_chunk`] of the
-/// decoded records; the caller must have validated the columns
+/// already-encoded columns, copied verbatim. The output is
+/// byte-identical to [`encode_seq_chunk`] of the decoded records; the
+/// caller must have validated the columns
 /// ([`stems_trace::store::validate_records`]), or the server rejects
-/// the message.
+/// the message. `scratch` is not used: the columns go straight into
+/// `out`. A caller that holds a verified store frame should prefer
+/// [`encode_raw_frame`], which reuses the frame's CRC.
 pub fn encode_chunk_columns(
     out: &mut Vec<u8>,
-    scratch: &mut Vec<u8>,
+    _scratch: &mut Vec<u8>,
     session: u32,
     seq: u64,
     count: usize,
     columns: &[u8],
 ) {
-    encode_chunk_message(out, scratch, session, seq, count, |cols| {
-        cols.extend_from_slice(columns)
-    });
+    encode_chunk_message(out, session, seq, count, columns, crc32(columns));
+}
+
+/// Appends one complete `SeqChunk` message that forwards a verified
+/// trace-store frame ([`stems_trace::TraceReader::next_raw_frame`])
+/// verbatim. This is the streaming clients' hot path: a store frame's
+/// payload is exactly a chunk's columns, so a stored trace is sent
+/// without decoding and re-encoding it, and the message CRC is derived
+/// from the frame's stored CRC instead of a second pass over the
+/// columns. The bytes are those of [`encode_seq_chunk`] of the decoded
+/// records.
+pub fn encode_raw_frame(out: &mut Vec<u8>, session: u32, seq: u64, frame: &RawFrame<'_>) {
+    encode_chunk_message(out, session, seq, frame.count, frame.columns, frame.crc);
 }
 
 // --- requests -------------------------------------------------------

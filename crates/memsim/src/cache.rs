@@ -190,25 +190,57 @@ impl Cache {
         self.ages[base + w] = 0;
     }
 
+    /// The way [`Cache::install_at`] fills at a compile-time width `N`:
+    /// bit masks of the free ways and of the LRU-rank way, then the
+    /// first free way, else the LRU way, by `trailing_zeros` — the
+    /// pattern [`Cache::find_fixed`] uses, with no per-way branch. A set
+    /// with a free way holds no rank `N - 1`, so at most one mask
+    /// matters. Returns the way and whether it evicts.
+    #[inline]
+    fn victim_fixed<const N: usize>(ages: &[u16]) -> (usize, bool) {
+        let ages: &[u16; N] = ages.try_into().expect("window narrower than declared");
+        let lru_rank = (N - 1) as u16;
+        let (mut free, mut lru) = (0u32, 0u32);
+        for (w, &a) in ages.iter().enumerate() {
+            free |= ((a == FREE_WAY) as u32) << w;
+            lru |= ((a == lru_rank) as u32) << w;
+        }
+        if free != 0 {
+            (free.trailing_zeros() as usize, false)
+        } else {
+            (lru.trailing_zeros() as usize, true)
+        }
+    }
+
     /// Installs `block` in the first free way of the set at `base`, or in
     /// the LRU way when the set is full (reporting the victim). New lines
-    /// enter at MRU.
+    /// enter at MRU. The victim scan is specialized by associativity
+    /// like [`Cache::find`]: 2/4/8/16 use [`Cache::victim_fixed`], other
+    /// geometries a generic scan.
     fn install_at(&mut self, base: usize, block: BlockAddr, is_dirty: bool) -> Option<Evicted> {
         let assoc = self.associativity;
         let ages = &self.ages[base..base + assoc];
-        let lru_rank = (assoc - 1) as u16;
-        let mut way = None; // first free way, else the LRU way
-        for (w, &a) in ages.iter().enumerate() {
-            if a == FREE_WAY {
-                way = Some((w, false));
-                break;
+        let (w, full) = match assoc {
+            2 => Self::victim_fixed::<2>(ages),
+            4 => Self::victim_fixed::<4>(ages),
+            8 => Self::victim_fixed::<8>(ages),
+            16 => Self::victim_fixed::<16>(ages),
+            _ => {
+                let lru_rank = (assoc - 1) as u16;
+                let mut way = None; // first free way, else the LRU way
+                for (w, &a) in ages.iter().enumerate() {
+                    if a == FREE_WAY {
+                        way = Some((w, false));
+                        break;
+                    }
+                    if a == lru_rank {
+                        way = Some((w, true));
+                        // A free way further right may still exist; keep looking.
+                    }
+                }
+                way.expect("a set always has a free or an LRU way")
             }
-            if a == lru_rank {
-                way = Some((w, true));
-                // A free way further right may still exist; keep looking.
-            }
-        }
-        let (w, full) = way.expect("a set always has a free or an LRU way");
+        };
         let evicted = full.then(|| Evicted {
             block: self.blocks[base + w],
             dirty: self.dirty[base + w],

@@ -139,14 +139,37 @@ proptest! {
     }
 
     /// The array-backed set storage matches the MRU-first Vec oracle —
-    /// hit/miss, eviction order, fill refresh, and invalidation — at the
-    /// degenerate (direct-mapped), mid, and high associativities the
-    /// intrusive age ranks were introduced for.
+    /// hit/miss, eviction order, fill refresh, and invalidation — at
+    /// every associativity with its own victim selection: the
+    /// fixed-width masks at 2, 4, 8 and 16, and the generic scan at 1
+    /// (direct-mapped) and 3. Invalidations free ways mid-set, so the
+    /// first-free-way choice is exercised as well as the LRU one.
     #[test]
     fn cache_matches_reference_model_at_assoc_1(
         ops in proptest::collection::vec((0u64..256, 0u8..3), 1..400),
     ) {
         check_against_reference(1, &ops)?;
+    }
+
+    #[test]
+    fn cache_matches_reference_model_at_assoc_2(
+        ops in proptest::collection::vec((0u64..256, 0u8..3), 1..400),
+    ) {
+        check_against_reference(2, &ops)?;
+    }
+
+    #[test]
+    fn cache_matches_reference_model_at_assoc_3(
+        ops in proptest::collection::vec((0u64..256, 0u8..3), 1..400),
+    ) {
+        check_against_reference(3, &ops)?;
+    }
+
+    #[test]
+    fn cache_matches_reference_model_at_assoc_4(
+        ops in proptest::collection::vec((0u64..256, 0u8..3), 1..400),
+    ) {
+        check_against_reference(4, &ops)?;
     }
 
     #[test]

@@ -570,8 +570,20 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
     // Hello exchange: validate the client's, then identify ourselves.
-    if wire::read_hello(&mut reader).is_err() {
+    if let Err(e) = wire::read_hello(&mut reader) {
         shared.obs.hello_failed();
+        // A peer speaking another version or protocol still gets our
+        // hello before the close, so its own hello check fails with a
+        // typed, non-transient error rather than a bare EOF it would
+        // retry.
+        if matches!(
+            e,
+            WireError::BadMagic { .. }
+                | WireError::UnsupportedVersion { .. }
+                | WireError::UnsupportedFlags { .. }
+        ) {
+            let _ = wire::write_hello(&mut writer).and_then(|()| Ok(writer.flush()?));
+        }
         return;
     }
     if wire::write_hello(&mut writer).is_err() || writer.flush().is_err() {

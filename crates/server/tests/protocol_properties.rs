@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use stems_client::Client;
-use stems_core::protocol::{encode_chunk_columns, encode_seq_chunk};
+use stems_core::protocol::{encode_chunk_columns, encode_raw_frame, encode_seq_chunk};
 use stems_core::protocol::{OpenRequest, Request, Response};
 use stems_core::{Predictor, PrefetchConfig, Session};
 use stems_memsim::SystemConfig;
@@ -118,8 +118,10 @@ fn scraped(client: &mut Client, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("{name} missing from the scrape"))
 }
 
-/// Wire version 1 is retired: the daemon drops a version-1 hello
-/// without answering it and counts the failed hello.
+/// Wire version 1 is retired: the daemon answers a version-1 hello
+/// with its own version-2 hello, so the peer can tell a version
+/// mismatch from a dropped connection, then closes without serving it,
+/// and counts the failed hello.
 #[test]
 fn version_1_hello_is_refused() {
     use std::io::{Read, Write};
@@ -131,7 +133,12 @@ fn version_1_hello_is_refused() {
     v1.write_all(&hello).unwrap();
     let mut reply = Vec::new();
     v1.read_to_end(&mut reply).unwrap();
-    assert!(reply.is_empty(), "a v1 hello was answered: {reply:?}");
+    let mut v2_hello = Vec::new();
+    stems_types::wire::encode_hello(&mut v2_hello);
+    assert_eq!(
+        reply, v2_hello,
+        "a v1 hello must get exactly the v2 hello, then EOF"
+    );
     assert_eq!(scraped(&mut client, "stems_hello_failures_total"), 1);
     client.shutdown_server().unwrap();
     handle.join().unwrap().unwrap();
@@ -239,8 +246,9 @@ proptest! {
 
     /// Forwarding a `TraceWriter` store's frames verbatim yields, byte
     /// for byte, the `SeqChunk` messages that encoding the decoded
-    /// records yields: the streaming clients' raw path cannot
-    /// drift from the record encoders.
+    /// records yields: the streaming clients' raw path, whose message
+    /// CRC is combined from the stored frame CRC, cannot drift from the
+    /// record encoders.
     #[test]
     fn raw_forwarded_chunks_match_the_record_encoders(
         records in proptest::collection::vec(
@@ -266,11 +274,14 @@ proptest! {
         let (mut scratch, mut expected, mut forwarded) = (Vec::new(), Vec::new(), Vec::new());
         let mut seq = first_seq;
         while let Some(chunk) = decoded.next_chunk().unwrap() {
-            let (count, columns) = raw.next_raw_frame().unwrap().unwrap();
+            let frame = raw.next_raw_frame().unwrap().unwrap();
             expected.clear();
             forwarded.clear();
             encode_seq_chunk(&mut expected, &mut scratch, session, seq, chunk);
-            encode_chunk_columns(&mut forwarded, &mut scratch, session, seq, count, columns);
+            encode_raw_frame(&mut forwarded, session, seq, &frame);
+            prop_assert_eq!(&forwarded, &expected);
+            forwarded.clear();
+            encode_chunk_columns(&mut forwarded, &mut scratch, session, seq, frame.count, frame.columns);
             prop_assert_eq!(&forwarded, &expected);
             seq = seq.wrapping_add(1);
         }

@@ -39,7 +39,7 @@ pub mod store;
 
 pub use record::{Access, AccessKind, Dependence};
 pub use stats::TraceStats;
-pub use store::{StoreSummary, SyncPolicy, TraceReader, TraceStoreError, TraceWriter};
+pub use store::{RawFrame, StoreSummary, SyncPolicy, TraceReader, TraceStoreError, TraceWriter};
 
 use stems_types::{Addr, Pc};
 

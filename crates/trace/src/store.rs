@@ -397,6 +397,18 @@ pub struct RecoveryReport {
     pub was_damaged: bool,
 }
 
+/// One verified, undecoded frame from [`TraceReader::next_raw_frame`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RawFrame<'a> {
+    /// The frame's record count.
+    pub count: usize,
+    /// The frame payload: the records' columns as [`encode_records`]
+    /// wrote them, already checked by [`validate_records`].
+    pub columns: &'a [u8],
+    /// The CRC-32 of `columns`, as stored in the frame and verified.
+    pub crc: u32,
+}
+
 /// Streaming reader for the chunked trace store.
 ///
 /// [`TraceReader::next_chunk`] decodes one frame at a time into an
@@ -511,29 +523,36 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// Reads the next frame without decoding it and returns its record
-    /// count and its column bytes (the payload [`encode_records`]
-    /// wrote), or `None` at a clean end of stream. The slice borrows an
-    /// internal buffer and is invalidated by the next call.
+    /// count, its column bytes (the payload [`encode_records`] wrote)
+    /// and their verified CRC-32, or `None` at a clean end of stream.
+    /// The columns borrow an internal buffer and are invalidated by the
+    /// next call.
     ///
     /// The frame passes every check [`TraceReader::next_chunk`] makes:
     /// the CRC, and then [`validate_records`], because the CRC does not
-    /// cover the header's record count. So the returned pair always
+    /// cover the header's record count. So the returned frame always
     /// decodes, and a forwarder (the streaming client) can hand the
-    /// columns on verbatim.
-    pub fn next_raw_frame(&mut self) -> Result<Option<(usize, &[u8])>, TraceStoreError> {
+    /// columns on verbatim, extending their CRC instead of recomputing
+    /// it.
+    pub fn next_raw_frame(&mut self) -> Result<Option<RawFrame<'_>>, TraceStoreError> {
         let frame = self.read_frame(|payload, count, _| validate_records(payload, count))?;
-        Ok(frame.map(|count| (count, self.payload.as_slice())))
+        Ok(frame.map(|(count, crc)| RawFrame {
+            count,
+            columns: self.payload.as_slice(),
+            crc,
+        }))
     }
 
     /// Reads one frame into `self.payload`, checks its header bounds
     /// and CRC, runs `check` on the verified columns, and only then
     /// advances the position — a failed frame leaves `offset` at its
     /// start (what [`TraceReader::recover_tail`] truncates to). Returns
-    /// the record count, or `None` at a clean end of stream.
+    /// the record count and the payload's CRC, or `None` at a clean
+    /// end of stream.
     fn read_frame(
         &mut self,
         check: impl FnOnce(&[u8], usize, &mut Vec<Access>) -> Result<(), &'static str>,
-    ) -> Result<Option<usize>, TraceStoreError> {
+    ) -> Result<Option<(usize, u32)>, TraceStoreError> {
         let frame_offset = self.offset;
         let mut frame_header = [0u8; FRAME_HEADER_BYTES];
         match read_full(&mut self.src, &mut frame_header)? {
@@ -575,7 +594,7 @@ impl<R: Read> TraceReader<R> {
         self.offset = frame_offset + (FRAME_HEADER_BYTES + payload_len + CHECKSUM_BYTES) as u64;
         self.frames += 1;
         self.records += count as u64;
-        Ok(Some(count))
+        Ok(Some((count, stored)))
     }
 
     /// Frames decoded so far.
@@ -753,7 +772,124 @@ pub fn decode_records(
 /// [`decode_records`] accepts, and rejects the rest with the same
 /// reason. This is what lets a forwarder pass verified frame bytes on
 /// verbatim ([`TraceReader::next_raw_frame`]).
+///
+/// A word-parallel pass accepts the common shape of a real frame
+/// (`docs/TRACE_FORMAT.md`, "Validation by terminator counting");
+/// anything it does not accept goes to the exact varint-by-varint
+/// loop, which alone decides every error and its reason.
 pub fn validate_records(payload: &[u8], count: usize) -> Result<(), &'static str> {
+    if validate_common(payload, count) {
+        return Ok(());
+    }
+    validate_exact(payload, count)
+}
+
+/// The MSB of every byte of a little-endian word: clear on the last
+/// byte of a varint (a terminator), set on the bytes before it.
+const MSBS: u64 = 0x8080_8080_8080_8080;
+
+/// Accepts the common frame shape without parsing a single varint, or
+/// returns `false` to leave the payload to [`validate_exact`]:
+///
+/// 1. The pc and address columns are `2 × count` varints back to back,
+///    so they end just after the `2 × count`-th terminator byte (MSB
+///    clear). It finds that byte eight bytes at a time, counting the
+///    terminators of each word, and tracks the run of continuation
+///    bytes (MSB set) before each terminator, across word boundaries.
+///    If any run reaches 9 bytes it gives up.
+/// 2. The flags column is checked exactly as [`decode_records`] checks
+///    it.
+/// 3. The rest must be exactly `count` bytes with every MSB clear: one
+///    single-byte work value per record.
+///
+/// Why an acceptance here implies [`validate_exact`] accepts: the
+/// exact loop reads varint after varint, and each one ends at the next
+/// terminator. So its `2 × count` varints are exactly the spans this
+/// pass counted, each at most 9 bytes (at most 8 continuation bytes,
+/// then the terminator). `varint::read_u64` accepts every such span:
+/// only a 10th byte can carry bits past the 64th or run past its
+/// length limit. Both passes therefore reach the flags column at the
+/// same offset and apply the same flags check, and `count` one-byte
+/// work values are each below 128, so each fits a `u16`, and nothing
+/// trails them. Rejections and all other payloads fall through, so the
+/// accepted set and the error reasons are those of the exact loop.
+fn validate_common(payload: &[u8], count: usize) -> bool {
+    // Every record takes at least its work byte, so this also keeps
+    // `2 * count` in range.
+    if count > payload.len() {
+        return false;
+    }
+    let Some(mut pos) = varint_columns_end(payload, 2 * count) else {
+        return false;
+    };
+    if flags_column(payload, &mut pos, count).is_err() {
+        return false;
+    }
+    let work = &payload[pos..];
+    if work.len() != count {
+        return false;
+    }
+    let mut words = work.chunks_exact(8);
+    let mut msbs = words.by_ref().fold(0u64, |acc, w| {
+        acc | u64::from_le_bytes(w.try_into().unwrap())
+    });
+    for &b in words.remainder() {
+        msbs |= b as u64;
+    }
+    msbs & MSBS == 0
+}
+
+/// The offset just past the `varints`-th terminator byte of `payload`,
+/// or `None` if the payload holds fewer terminators or a run of 9 or
+/// more continuation bytes precedes one of them (see
+/// [`validate_common`]).
+fn varint_columns_end(payload: &[u8], varints: usize) -> Option<usize> {
+    if varints == 0 {
+        return Some(0);
+    }
+    let whole = payload.len() / 8 * 8;
+    // The tail, padded with continuation bytes: they add no terminator,
+    // and they can only lengthen a run (a fallback, never a false Ok).
+    let mut tail = [0x80u8; 8];
+    tail[..payload.len() - whole].copy_from_slice(&payload[whole..]);
+    let words = payload[..whole]
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+        .chain(std::iter::once(u64::from_le_bytes(tail)));
+    let mut left = varints; // terminators still to find
+    let mut run = 0u32; // continuation bytes carried in from earlier words
+    for (i, word) in words.enumerate() {
+        let stops = !word & MSBS;
+        if stops == 0 {
+            run += 8;
+            continue;
+        }
+        // The run ending at this word's first terminator, which may have
+        // started words earlier; runs between two terminators of one
+        // word are at most 6 bytes.
+        if run + stops.trailing_zeros() / 8 > 8 {
+            return None;
+        }
+        // One bit per terminator in each byte's low bit; the multiply
+        // sums the eight bytes into the top one.
+        let found = ((stops >> 7).wrapping_mul(0x0101_0101_0101_0101) >> 56) as usize;
+        if left <= found {
+            let mut s = stops;
+            for _ in 1..left {
+                s &= s - 1;
+            }
+            return Some(8 * i + s.trailing_zeros() as usize / 8 + 1);
+        }
+        left -= found;
+        run = stops.leading_zeros() / 8;
+    }
+    None
+}
+
+/// The exact validation loop: reads every varint of the payload in
+/// order, as [`decode_records`] does, without storing the values. The
+/// single arbiter of every rejection [`validate_records`] returns.
+fn validate_exact(payload: &[u8], count: usize) -> Result<(), &'static str> {
     let mut pos = 0usize;
     // The pc and address columns: 2 × count varints back to back.
     for _ in 0..count {
@@ -1073,6 +1209,139 @@ mod tests {
             w.finish().unwrap();
             drop(w);
             assert_eq!(buf, reference, "{policy:?} must not change the format");
+        }
+    }
+
+    /// Holds [`validate_records`] and its word-parallel pass to the
+    /// exact loop and to [`decode_records`] on one input: all three
+    /// verdicts agree, and an acceptance by the word-parallel pass is
+    /// one the exact loop makes. Returns whether that pass accepted,
+    /// so callers can pin where the fast path must fire.
+    fn check_validate(payload: &[u8], count: usize, what: &str) -> bool {
+        let exact = validate_exact(payload, count);
+        let mut out = Vec::new();
+        let decoded = decode_records(payload, count, &mut out);
+        assert_eq!(exact, decoded, "exact loop vs decode: {what}");
+        assert_eq!(validate_records(payload, count), exact, "{what}");
+        let common = validate_common(payload, count);
+        assert!(
+            !common || exact.is_ok(),
+            "word-parallel pass accepted what the exact loop rejects ({exact:?}): {what}"
+        );
+        common
+    }
+
+    /// `count` records' columns with every pc and address varint one
+    /// byte long except the `long`-th of the 2 × `count`, which is the
+    /// raw bytes `varint`, and work values all zero.
+    fn columns_with(count: usize, long: usize, varint: &[u8]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        for i in 0..2 * count {
+            if i == long {
+                payload.extend_from_slice(varint);
+            } else {
+                payload.push((i % 100) as u8);
+            }
+        }
+        payload.extend(std::iter::repeat_n(0, count.div_ceil(4) + count));
+        payload
+    }
+
+    #[test]
+    fn long_varints_at_every_word_offset_match_the_exact_loop() {
+        let count = 12;
+        let nine = [&[0xFF; 8][..], &[0x7F]].concat();
+        let ten_ok = [&[0xFF; 9][..], &[0x01]].concat();
+        let ten_bad = [&[0xFF; 9][..], &[0x02]].concat();
+        let eleven = [&[0x80; 10][..], &[0x01]].concat();
+        // The long varint starts at byte `long`: every offset mod 8,
+        // twice, so its run of continuation bytes straddles a word
+        // boundary at every position.
+        for long in 0..16 {
+            let what = |w: &str| format!("{w} at byte {long}");
+            let ok9 = columns_with(count, long, &nine);
+            assert!(check_validate(&ok9, count, &what("9-byte varint")));
+            let ok10 = columns_with(count, long, &ten_ok);
+            assert!(!check_validate(&ok10, count, &what("10-byte varint")));
+            assert_eq!(validate_records(&ok10, count), Ok(()));
+            let bad10 = columns_with(count, long, &ten_bad);
+            check_validate(&bad10, count, &what("10th byte 0x02"));
+            assert!(validate_records(&bad10, count).is_err());
+            let bad11 = columns_with(count, long, &eleven);
+            check_validate(&bad11, count, &what("11-byte varint"));
+            assert!(validate_records(&bad11, count).is_err());
+        }
+    }
+
+    #[test]
+    fn work_values_at_the_byte_and_u16_limits_match_the_exact_loop() {
+        for (work, fast) in [(0u16, true), (127, true), (128, false), (65_535, false)] {
+            let records: Vec<Access> = sample_trace(9)
+                .iter()
+                .map(|a| Access {
+                    work_before: work,
+                    ..*a
+                })
+                .collect();
+            let mut payload = Vec::new();
+            encode_records(&records, &mut payload);
+            let what = format!("work {work}");
+            assert_eq!(check_validate(&payload, 9, &what), fast, "{what}");
+            assert_eq!(validate_records(&payload, 9), Ok(()), "{what}");
+        }
+        // 65536 = 0x80 0x80 0x04 cannot come from an `Access`.
+        let mut payload = columns_with(1, usize::MAX, &[]);
+        payload.truncate(3);
+        payload.extend_from_slice(&[0x80, 0x80, 0x04]);
+        check_validate(&payload, 1, "work 65536");
+        assert_eq!(validate_records(&payload, 1), Err("work value exceeds u16"));
+    }
+
+    #[test]
+    fn small_counts_and_short_payloads_match_the_exact_loop() {
+        for count in 1..=17 {
+            let t = sample_trace(count as u64);
+            let mut payload = Vec::new();
+            encode_records(&t.as_slice()[..count], &mut payload);
+            // The shortest canonical frames, all of them under 8 bytes
+            // for count 1.
+            let small = columns_with(count, usize::MAX, &[]);
+            assert!(check_validate(&small, count, &format!("count {count}")));
+            for cut in 0..small.len() {
+                check_validate(&small[..cut], count, &format!("count {count} cut {cut}"));
+            }
+            let mut longer = small.clone();
+            longer.push(0);
+            check_validate(&longer, count, &format!("count {count} + trailing byte"));
+            check_validate(&payload, count, &format!("sample count {count}"));
+            for claimed in [0, count - 1, count + 1] {
+                check_validate(&small, claimed, &format!("count {count} claimed {claimed}"));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes under arbitrary counts: every verdict agrees.
+        #[test]
+        fn validate_fast_path_agrees_on_arbitrary_bytes(
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+            count in 0usize..40,
+        ) {
+            check_validate(&noise, count, "noise");
+        }
+
+        /// Bytes mostly below 0x80 reach the flags and work columns far
+        /// more often than uniform noise does.
+        #[test]
+        fn validate_fast_path_agrees_on_mostly_short_varints(
+            bytes in proptest::collection::vec((0u8..=255, 0u8..8), 0..96),
+            count in 0usize..40,
+        ) {
+            let payload: Vec<u8> = bytes
+                .iter()
+                .map(|&(b, k)| if k == 0 { b | 0x80 } else { b & 0x7F })
+                .collect();
+            check_validate(&payload, count, "short varints");
         }
     }
 }

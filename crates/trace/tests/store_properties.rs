@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use stems_trace::store::{
-    decode_records, encode_records, validate_records, write_store, DEFAULT_FRAME_RECORDS,
+    crc32, decode_records, encode_records, validate_records, write_store, DEFAULT_FRAME_RECORDS,
     HEADER_BYTES, STORE_MAGIC, STORE_VERSION,
 };
 use stems_trace::{
@@ -148,8 +148,8 @@ fn real_frame() -> (usize, Vec<u8>) {
     let mut store = Vec::new();
     write_store(&mut store, &trace).unwrap();
     let mut reader = TraceReader::new(store.as_slice()).unwrap();
-    let (count, payload) = reader.next_raw_frame().unwrap().unwrap();
-    (count, payload.to_vec())
+    let frame = reader.next_raw_frame().unwrap().unwrap();
+    (frame.count, frame.columns.to_vec())
 }
 
 proptest! {
@@ -244,10 +244,13 @@ fn raw_frames_match_decoded_chunks_and_share_their_errors() {
     let mut chunks = TraceReader::new(full.as_slice()).unwrap();
     let mut raw = TraceReader::new(full.as_slice()).unwrap();
     while let Some(chunk) = chunks.next_chunk().unwrap() {
-        let (count, columns) = raw.next_raw_frame().unwrap().unwrap();
+        let frame = raw.next_raw_frame().unwrap().unwrap();
         let mut encoded = Vec::new();
         encode_records(chunk, &mut encoded);
-        assert_eq!((count, columns), (chunk.len(), encoded.as_slice()));
+        assert_eq!(
+            (frame.count, frame.columns, frame.crc),
+            (chunk.len(), encoded.as_slice(), crc32(&encoded))
+        );
     }
     assert!(raw.next_raw_frame().unwrap().is_none());
     assert_eq!(
@@ -288,8 +291,8 @@ fn raw_frames_match_decoded_chunks_and_share_their_errors() {
         let chunked = read_all(&full[..cut]).map(|t| t.len());
         let rawed = TraceReader::new(&full[..cut]).and_then(|mut r| {
             let mut n = 0;
-            while let Some((count, _)) = r.next_raw_frame()? {
-                n += count;
+            while let Some(frame) = r.next_raw_frame()? {
+                n += frame.count;
             }
             Ok(n)
         });

@@ -7,6 +7,9 @@
 //! leaf crate. The polynomial is the reflected `0xEDB88320`; the check
 //! value for `"123456789"` is `0xCBF43926`.
 
+/// The reflected CRC-32 polynomial.
+const POLY: u32 = 0xEDB8_8320;
+
 /// Slicing-by-8 lookup tables. `TABLES[0]` is the classic bytewise
 /// table; `TABLES[k][b]` is the CRC state contributed by byte `b`
 /// followed by `k` zero bytes, so eight table lookups fold eight input
@@ -19,7 +22,7 @@ const TABLES: [[u32; 256]; 8] = {
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ POLY
             } else {
                 crc >> 1
             };
@@ -98,6 +101,59 @@ impl Crc32 {
     }
 }
 
+/// The CRC-32 of `A ‖ B` from `crc_a = crc32(A)`, `crc_b = crc32(B)` and
+/// `len_b = B.len()`, without reading either input (zlib's
+/// `crc32_combine`). It costs O(log `len_b`) polynomial products, so a
+/// forwarder that already holds the checksum of a large body can
+/// checksum a small header plus that body without a pass over the body.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    // Appending len_b bytes to A multiplies A's CRC register by
+    // x^(8·len_b) mod P; B's own CRC adds in linearly.
+    multiply_mod_p(x_pow_8n_mod_p(len_b), crc_a) ^ crc_b
+}
+
+/// `X2N[k]` = x^(2^k) mod P, in the reflected bit order (x^0 is bit 31).
+const X2N: [u32; 64] = {
+    let mut table = [0u32; 64];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 64 {
+        table[k] = p;
+        p = multiply_mod_p(p, p);
+        k += 1;
+    }
+    table
+};
+
+/// The product `a · b` mod P of two reflected polynomials.
+const fn multiply_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0u32;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        m >>= 1;
+    }
+    product
+}
+
+/// x^(8·n) mod P, by square-and-multiply over the bits of `n`.
+fn x_pow_8n_mod_p(n: usize) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    let mut n = n as u64;
+    let mut k = 3; // 8·n = n · 2^3
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multiply_mod_p(X2N[k], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +208,36 @@ mod tests {
                 assert_eq!(h.finish(), whole, "splits at {a} and {b}");
             }
         }
+    }
+
+    /// `crc32_combine` against a direct CRC of the concatenation, for
+    /// every split of buffers of every length up to 300 bytes, empty
+    /// sides included.
+    #[test]
+    fn combine_matches_the_crc_of_the_concatenation_at_every_split() {
+        let data = noise(300);
+        for len in 0..=data.len() {
+            let buf = &data[..len];
+            let whole = bytewise(buf);
+            for cut in 0..=len {
+                let (a, b) = buf.split_at(cut);
+                assert_eq!(
+                    crc32_combine(crc32(a), crc32(b), b.len()),
+                    whole,
+                    "len {len}, split at {cut}"
+                );
+            }
+        }
+    }
+
+    /// A body as long as a full trace-store frame's payload, where the
+    /// square-and-multiply reaches the upper powers of the table.
+    #[test]
+    fn combine_matches_at_frame_scale_lengths() {
+        let body = noise((1 << 20) + 3);
+        let head = b"header";
+        let want = crc32(&[&head[..], &body[..]].concat());
+        assert_eq!(crc32_combine(crc32(head), crc32(&body), body.len()), want);
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! assert_eq!((kind, payload), (7, &b"payload"[..]));
 //! ```
 
-use crate::crc::{crc32, Crc32};
+use crate::crc::{crc32, crc32_combine, Crc32};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -248,16 +248,40 @@ pub fn decode_hello(bytes: &[u8]) -> Result<usize, WireError> {
 /// If `payload` exceeds [`MAX_MESSAGE_PAYLOAD`] — callers build payloads
 /// and are expected to chunk below the bound.
 pub fn encode_message(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
-    assert!(
-        payload.len() <= MAX_MESSAGE_PAYLOAD as usize,
-        "message payload of {} bytes exceeds the wire bound",
-        payload.len()
-    );
+    encode_message_with_tail(out, kind, |head| head.extend_from_slice(payload), &[], 0);
+}
+
+/// Appends one framed message whose payload is a head, written by
+/// `write_head` straight into `out`, followed by `tail`, whose CRC-32
+/// the caller already holds as `tail_crc`. The message CRC is computed
+/// over the frame header and the head only, and extended over the tail
+/// with [`crc32_combine`], so the tail is copied once and never
+/// re-read. The bytes are exactly those of [`encode_message`] over the
+/// concatenated payload, provided `tail_crc == crc32(tail)`.
+///
+/// # Panics
+///
+/// If the payload exceeds [`MAX_MESSAGE_PAYLOAD`].
+pub fn encode_message_with_tail(
+    out: &mut Vec<u8>,
+    kind: u8,
+    write_head: impl FnOnce(&mut Vec<u8>),
+    tail: &[u8],
+    tail_crc: u32,
+) {
     let start = out.len();
     out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    let crc = crc32(&out[start..]);
+    out.extend_from_slice(&[0; 4]);
+    write_head(out);
+    let head_end = out.len();
+    let len = head_end - start - MESSAGE_HEADER_BYTES + tail.len();
+    assert!(
+        len <= MAX_MESSAGE_PAYLOAD as usize,
+        "message payload of {len} bytes exceeds the wire bound"
+    );
+    out[start + 1..start + MESSAGE_HEADER_BYTES].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32_combine(crc32(&out[start..head_end]), tail_crc, tail.len());
+    out.extend_from_slice(tail);
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
@@ -464,6 +488,28 @@ mod tests {
         let (kind2, payload2, n2) = decode_message(&buf[n..]).unwrap();
         assert_eq!((kind2, payload2), (4, &b""[..]));
         assert_eq!(n + n2, buf.len());
+    }
+
+    /// A message written as head + tail with the tail's CRC combined in
+    /// is byte-identical to one written in a single pass, at every
+    /// split, behind any bytes already in the buffer.
+    #[test]
+    fn message_with_tail_matches_a_single_pass_at_every_split() {
+        let payload: Vec<u8> = (0..70u8).map(|i| i.wrapping_mul(37)).collect();
+        let mut want = b"prior".to_vec();
+        encode_message(&mut want, 6, &payload);
+        for cut in 0..=payload.len() {
+            let (head, tail) = payload.split_at(cut);
+            let mut got = b"prior".to_vec();
+            encode_message_with_tail(
+                &mut got,
+                6,
+                |out| out.extend_from_slice(head),
+                tail,
+                crc32(tail),
+            );
+            assert_eq!(got, want, "split at {cut}");
+        }
     }
 
     #[test]
